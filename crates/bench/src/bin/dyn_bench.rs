@@ -1,6 +1,6 @@
 //! Incremental-mutation micro-bench for CI: stream insert batches through
-//! a [`parclust_dyn::DynamicModel`] under the Auto rebuild-vs-merge
-//! policy and emit the `dynamic` JSON section the bench gate consumes.
+//! a [`parclust_dyn::DynamicModel`] and emit the `dynamic` JSON section the
+//! bench gate consumes.
 //!
 //! ```sh
 //! dyn_bench --out bench_results/dynamic.json \
@@ -10,16 +10,23 @@
 //!
 //! The headline metric is `insert_pts_per_s` — inserted points divided by
 //! total apply time — which `compare_bench --dynamic` gates against the
-//! committed baseline. The merge/rebuild batch split is reported
-//! ungated: it describes how the Auto policy routed this workload, and a
-//! deliberate policy retune should show up as a diff here without
-//! failing the gate by itself.
+//! committed baseline. The merge/rebuild batch split (whether a batch
+//! carried any core distance over) is reported ungated: it describes the
+//! workload, not a speed.
+//!
+//! Usage errors exit 2 and runtime failures exit 1, each with one
+//! `dyn_bench: error:` line on stderr; a closed stdout (`dyn_bench … |
+//! head`) ends the run quietly.
 
 use parclust_bench::gate::metrics_from_dynamic;
 use parclust_dyn::{DynConfig, DynamicModel, MutationBatch, MutationPath};
 use parclust_geom::Point;
 use rand::prelude::*;
+use std::io::Write;
 use std::time::Instant;
+
+const USAGE: &str = "usage: dyn_bench [--n N] [--batches N] [--batch-size N] [--min-pts N] \
+                     [--min-cluster-size N] [--threads N] [--seed N] [--out FILE]";
 
 struct Opts {
     n: usize,
@@ -30,6 +37,28 @@ struct Opts {
     threads: usize,
     seed: u64,
     out: Option<std::path::PathBuf>,
+}
+
+/// Runtime failure: one diagnostic line, exit 1.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("dyn_bench: error: {msg}");
+    std::process::exit(1);
+}
+
+/// A command line we could not make sense of: one diagnostic line, exit 2.
+fn bad_arg(msg: impl std::fmt::Display) -> ! {
+    eprintln!("dyn_bench: error: {msg}");
+    std::process::exit(2);
+}
+
+/// Print a line to stdout; a reader that hung up ends the run quietly.
+fn say(text: &str) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(format_args!("stdout: {e}"));
+    }
 }
 
 fn parse_args() -> Opts {
@@ -45,33 +74,43 @@ fn parse_args() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut usize_arg = |what: &str| -> usize {
+        let mut value = |flag: &str| -> String {
             args.next()
-                .unwrap_or_else(|| panic!("{what} N"))
-                .parse()
-                .unwrap_or_else(|_| panic!("{what} takes a non-negative integer"))
+                .unwrap_or_else(|| bad_arg(format_args!("{flag} needs a value")))
+        };
+        let mut count = |flag: &str| -> usize {
+            let raw = value(flag);
+            raw.parse()
+                .unwrap_or_else(|_| bad_arg(format_args!("invalid value {raw:?} for {flag}")))
         };
         match a.as_str() {
-            "--n" => opts.n = usize_arg("--n"),
-            "--batches" => opts.batches = usize_arg("--batches"),
-            "--batch-size" => opts.batch_size = usize_arg("--batch-size"),
-            "--min-pts" => opts.min_pts = usize_arg("--min-pts"),
-            "--min-cluster-size" => opts.min_cluster_size = usize_arg("--min-cluster-size"),
-            "--threads" => opts.threads = usize_arg("--threads"),
-            "--seed" => opts.seed = usize_arg("--seed") as u64,
-            "--out" => opts.out = Some(args.next().expect("--out FILE").into()),
+            "--n" => opts.n = count("--n"),
+            "--batches" => opts.batches = count("--batches"),
+            "--batch-size" => opts.batch_size = count("--batch-size"),
+            "--min-pts" => opts.min_pts = count("--min-pts"),
+            "--min-cluster-size" => opts.min_cluster_size = count("--min-cluster-size"),
+            "--threads" => opts.threads = count("--threads"),
+            "--seed" => opts.seed = count("--seed") as u64,
+            "--out" => opts.out = Some(value("--out").into()),
             "--help" | "-h" => {
-                println!(
-                    "usage: dyn_bench [--n N] [--batches N] [--batch-size N] [--min-pts N] \
-                     [--min-cluster-size N] [--threads N] [--seed N] [--out FILE]"
-                );
+                say(USAGE);
                 std::process::exit(0);
             }
-            other => panic!("unknown argument {other:?}"),
+            other => bad_arg(format_args!("unknown argument {other:?} (see --help)")),
         }
     }
-    assert!(opts.n >= opts.min_pts.max(2), "--n too small to cluster");
-    assert!(opts.batch_size >= 1, "--batch-size must be at least 1");
+    if opts.min_pts == 0 {
+        bad_arg("--min-pts must be at least 1");
+    }
+    if opts.min_cluster_size < 2 {
+        bad_arg("--min-cluster-size must be at least 2");
+    }
+    if opts.n < opts.min_pts.max(2) {
+        bad_arg("--n too small to cluster");
+    }
+    if opts.batch_size == 0 {
+        bad_arg("--batch-size must be at least 1");
+    }
     opts
 }
 
@@ -103,46 +142,29 @@ fn run(opts: &Opts) -> serde_json::Value {
         })
         .collect();
 
-    let mut merge_batches = 0usize;
-    let mut rebuild_batches = 0usize;
-    let mut recomputed = 0usize;
-    let apply_all = |model: &mut DynamicModel<2>,
-                     merge: &mut usize,
-                     rebuild: &mut usize,
-                     recomputed: &mut usize| {
-        for batch in &batches {
-            let report = model.apply(batch).expect("bench batches are valid");
-            match report.path {
-                MutationPath::Merge => *merge += 1,
-                MutationPath::Rebuild => *rebuild += 1,
-            }
-            *recomputed += report.recomputed;
-        }
+    let apply_all = |model: &mut DynamicModel<2>| -> Vec<_> {
+        batches
+            .iter()
+            .map(|batch| {
+                model
+                    .apply(batch)
+                    .unwrap_or_else(|e| fail(format_args!("apply: {e}")))
+            })
+            .collect()
     };
     let t0 = Instant::now();
-    if opts.threads > 0 {
-        let pool = rayon::ThreadPoolBuilder::new()
+    let reports = if opts.threads > 0 {
+        rayon::ThreadPoolBuilder::new()
             .num_threads(opts.threads)
             .build()
-            .expect("thread pool");
-        pool.install(|| {
-            apply_all(
-                &mut model,
-                &mut merge_batches,
-                &mut rebuild_batches,
-                &mut recomputed,
-            )
-        });
+            .unwrap_or_else(|e| fail(format_args!("thread pool: {e:?}")))
+            .install(|| apply_all(&mut model))
     } else {
-        apply_all(
-            &mut model,
-            &mut merge_batches,
-            &mut rebuild_batches,
-            &mut recomputed,
-        );
-    }
+        apply_all(&mut model)
+    };
     let seconds = t0.elapsed().as_secs_f64();
 
+    let count = |path| reports.iter().filter(|r| r.path == path).count();
     let inserted = opts.batches * opts.batch_size;
     serde_json::json!({
         "n_initial": opts.n as u64,
@@ -154,9 +176,9 @@ fn run(opts: &Opts) -> serde_json::Value {
         "seed": opts.seed,
         "seconds": seconds,
         "insert_pts_per_s": inserted as f64 / seconds.max(1e-12),
-        "merge_batches": merge_batches as u64,
-        "rebuild_batches": rebuild_batches as u64,
-        "recomputed_core_distances": recomputed as u64,
+        "merge_batches": count(MutationPath::Merge) as u64,
+        "rebuild_batches": count(MutationPath::Rebuild) as u64,
+        "recomputed_core_distances": reports.iter().map(|r| r.recomputed).sum::<usize>() as u64,
     })
 }
 
@@ -168,7 +190,7 @@ fn main() {
             .and_then(serde_json::Value::as_f64)
             .unwrap_or(0.0)
     };
-    println!(
+    say(&format!(
         "dyn_bench: {} batches of {} inserts over n={} in {:.3}s \
          ({:.0} pts/s; {} merge / {} rebuild)",
         opts.batches,
@@ -178,28 +200,26 @@ fn main() {
         f("insert_pts_per_s"),
         f("merge_batches"),
         f("rebuild_batches"),
-    );
+    ));
     // Sanity-check the report feeds the gate (catches schema drift here
     // rather than in a green-looking CI run with zero shared metrics).
-    assert!(
-        metrics_from_dynamic(&doc)
-            .iter()
-            .any(|m| m.gated && m.key == "dynamic/insert_pts_per_s"),
-        "dyn_bench output no longer yields the gated throughput metric"
-    );
+    if !metrics_from_dynamic(&doc)
+        .iter()
+        .any(|m| m.gated && m.key == "dynamic/insert_pts_per_s")
+    {
+        fail("output no longer yields the gated throughput metric");
+    }
     let text = doc.to_json_string_pretty();
     match opts.out {
         Some(path) => {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)
-                        .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
-                }
+            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                std::fs::create_dir_all(dir)
+                    .unwrap_or_else(|e| fail(format_args!("create {}: {e}", dir.display())));
             }
             std::fs::write(&path, text)
-                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-            println!("dyn_bench: wrote {}", path.display());
+                .unwrap_or_else(|e| fail(format_args!("write {}: {e}", path.display())));
+            say(&format!("dyn_bench: wrote {}", path.display()));
         }
-        None => println!("{text}"),
+        None => say(&text),
     }
 }

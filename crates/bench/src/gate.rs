@@ -110,10 +110,9 @@ pub fn metrics_from_kernels(v: &Value) -> Vec<Metric> {
 }
 
 /// Extract metrics from a `dyn_bench --out` report: incremental-mutation
-/// throughput plus the merge/rebuild path split. Throughput is gated —
-/// it is the quantity the rebuild-vs-merge policy exists to protect; the
-/// path counts are informational (they describe the workload, and a
-/// policy retune should not fail the gate by itself).
+/// throughput plus the merge/rebuild path split. Throughput is gated; the
+/// path counts are informational (they say whether batches carried core
+/// distances over, which describes the workload, not its speed).
 pub fn metrics_from_dynamic(v: &Value) -> Vec<Metric> {
     let mut out = Vec::new();
     if let Some(x) = v.get("insert_pts_per_s").and_then(Value::as_f64) {

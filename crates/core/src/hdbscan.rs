@@ -63,11 +63,12 @@ pub fn core_distances<const D: usize>(points: &[Point<D>], min_pts: usize) -> Ve
     if points.is_empty() {
         return Vec::new();
     }
-    let tree = KdTree::build(points);
-    core_distances_with_tree(&tree, min_pts)
+    core_distances_on_tree(&KdTree::build(points), min_pts)
 }
 
-fn core_distances_with_tree<const D: usize>(tree: &KdTree<D>, min_pts: usize) -> Vec<f64> {
+/// [`core_distances`] over an already built kd-tree (original point
+/// order), for callers that keep the tree.
+pub fn core_distances_on_tree<const D: usize>(tree: &KdTree<D>, min_pts: usize) -> Vec<f64> {
     let knn = tree.knn_all(min_pts);
     (0..tree.len()).map(|i| knn.kth_dist(i)).collect()
 }
@@ -77,61 +78,60 @@ fn hdbscan_driver<const D: usize>(
     min_pts: usize,
     mode: SepMode,
     engine: MstEngine,
-) -> HdbscanMst {
-    hdbscan_driver_with(points, min_pts, mode, engine, None)
-}
-
-fn hdbscan_driver_with<const D: usize>(
-    points: &[Point<D>],
-    min_pts: usize,
-    mode: SepMode,
-    engine: MstEngine,
     precomputed_cd: Option<&[f64]>,
 ) -> HdbscanMst {
     assert!(min_pts >= 1, "minPts must be at least 1");
     let t0 = std::time::Instant::now();
     let mut stats = Stats::default();
-    let n = points.len();
-    if n < 2 {
-        stats.total = t0.elapsed().as_secs_f64();
+    if points.is_empty() {
         return HdbscanMst {
             min_pts,
             edges: Vec::new(),
-            core_distances: vec![0.0; n],
+            core_distances: Vec::new(),
             total_weight: 0.0,
             stats,
         };
     }
-
     let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-
-    // Core distances (original order), remapped to permuted positions for
-    // the policy, plus the per-node min/max annotations of §3.2.2.
     let cd_orig = match precomputed_cd {
-        Some(cd) => {
-            assert_eq!(
-                cd.len(),
-                n,
-                "precomputed core distances must cover all points"
-            );
-            cd.to_vec()
-        }
+        Some(cd) => cd.to_vec(),
         None => Stats::time(&mut stats.core_dist, || {
-            core_distances_with_tree(&tree, min_pts)
+            core_distances_on_tree(&tree, min_pts)
         }),
     };
+    mst_on_tree(&tree, min_pts, mode, engine, cd_orig, stats, t0)
+}
+
+/// The shared tail of every HDBSCAN\* driver: the mutual-reachability MST
+/// over a built tree and core distances in original order.
+fn mst_on_tree<const D: usize>(
+    tree: &KdTree<D>,
+    min_pts: usize,
+    mode: SepMode,
+    engine: MstEngine,
+    cd_orig: Vec<f64>,
+    mut stats: Stats,
+    t0: std::time::Instant,
+) -> HdbscanMst {
+    assert_eq!(
+        cd_orig.len(),
+        tree.len(),
+        "core distances must cover all points"
+    );
+    // Core distances remapped to permuted positions for the policy, plus
+    // the per-node min/max annotations of §3.2.2.
     let (cd_pos, cd_min, cd_max) = Stats::time(&mut stats.core_dist, || {
         let cd_pos: Vec<f64> = tree.idx.iter().map(|&o| cd_orig[o as usize]).collect();
-        let (cd_min, cd_max) = core_distance_annotations(&tree, &cd_pos);
+        let (cd_min, cd_max) = core_distance_annotations(tree, &cd_pos);
         (cd_pos, cd_min, cd_max)
     });
 
     let policy = MutualReachSep::new(mode, &cd_pos, &cd_min, &cd_max);
     let edges = match engine {
-        MstEngine::Memo => wspd_mst_memogfk(&tree, &policy, &mut stats),
-        MstEngine::Streaming(cap) => wspd_mst_streaming(&tree, &policy, &mut stats, cap),
+        MstEngine::Memo => wspd_mst_memogfk(tree, &policy, &mut stats),
+        MstEngine::Streaming(cap) => wspd_mst_streaming(tree, &policy, &mut stats, cap),
     };
-    let edges = edges_to_original(&tree, edges);
+    let edges = edges_to_original(tree, edges);
     stats.total = t0.elapsed().as_secs_f64();
     HdbscanMst {
         min_pts,
@@ -145,13 +145,13 @@ fn hdbscan_driver_with<const D: usize>(
 /// HDBSCAN\* MST via the improved algorithm (§3.2.2): new well-separation,
 /// MemoGFK, exact BCCP\*. The paper's recommended method.
 pub fn hdbscan_memogfk<const D: usize>(points: &[Point<D>], min_pts: usize) -> HdbscanMst {
-    hdbscan_driver(points, min_pts, SepMode::Combined, MstEngine::Memo)
+    hdbscan_driver(points, min_pts, SepMode::Combined, MstEngine::Memo, None)
 }
 
 /// HDBSCAN\* MST via the parallelized exact Gan–Tao baseline (§3.2.1):
 /// standard well-separation, MemoGFK, exact BCCP\*.
 pub fn hdbscan_gantao<const D: usize>(points: &[Point<D>], min_pts: usize) -> HdbscanMst {
-    hdbscan_driver(points, min_pts, SepMode::Standard, MstEngine::Memo)
+    hdbscan_driver(points, min_pts, SepMode::Standard, MstEngine::Memo, None)
 }
 
 /// HDBSCAN\* MST via the bounded-memory streaming pipeline (new
@@ -168,6 +168,7 @@ pub fn hdbscan_streaming<const D: usize>(
         min_pts,
         SepMode::Combined,
         MstEngine::Streaming(max_batch_pairs),
+        None,
     )
 }
 
@@ -184,6 +185,7 @@ pub fn hdbscan_gantao_streaming<const D: usize>(
         min_pts,
         SepMode::Standard,
         MstEngine::Streaming(max_batch_pairs),
+        None,
     )
 }
 
@@ -192,25 +194,14 @@ pub fn hdbscan<const D: usize>(points: &[Point<D>], min_pts: usize) -> HdbscanMs
     hdbscan_memogfk(points, min_pts)
 }
 
-/// [`hdbscan_memogfk`] with caller-supplied core distances — the
-/// incremental-update entry point (`parclust-dyn` reuses the core distances
-/// of points a mutation provably cannot affect).
-///
-/// Contract: `core_distances[i]` must equal, **bit for bit**, the value
-/// [`core_distances`](crate::core_distances)`(points, min_pts)[i]` would
-/// produce. Core distances are a property of the point *multiset* (the
-/// k-th smallest computed squared distance, then one `sqrt`), independent
-/// of kd-tree shape or visit order, so values carried over from a previous
-/// build satisfy this whenever the mutation left the point's k-NN distance
-/// unchanged. Feeding values that violate the contract yields an MST of a
-/// different mutual-reachability graph — consistent, but not HDBSCAN\* of
-/// `points`.
+/// [`hdbscan_memogfk`] with caller-supplied core distances: builds the
+/// kd-tree (timed as `stats.build_tree`), then runs [`hdbscan_mst_on_tree`].
 pub fn hdbscan_memogfk_with_cds<const D: usize>(
     points: &[Point<D>],
     min_pts: usize,
     core_distances: &[f64],
 ) -> HdbscanMst {
-    hdbscan_driver_with(
+    hdbscan_driver(
         points,
         min_pts,
         SepMode::Combined,
@@ -219,22 +210,43 @@ pub fn hdbscan_memogfk_with_cds<const D: usize>(
     )
 }
 
-/// [`hdbscan_streaming`] with caller-supplied core distances; the same
-/// contract as [`hdbscan_memogfk_with_cds`]. Pair batches are capped at
-/// `max_batch_pairs` live pairs and merged through the streaming Kruskal
-/// forest, so incremental updates inherit the bounded-memory pipeline.
-pub fn hdbscan_streaming_with_cds<const D: usize>(
-    points: &[Point<D>],
+/// HDBSCAN\* MST (the §3.2.2 well-separation) over a prebuilt kd-tree and
+/// caller-supplied core distances — the entry point for callers that keep
+/// the tree, such as `parclust-dyn`, which builds one tree per model
+/// version and reuses the core distances a mutation cannot affect.
+/// `max_live_pairs` of `Some(cap)` streams WSPD pair batches of at most
+/// `cap` pairs through the streaming Kruskal forest; `None` runs MemoGFK.
+/// Both are bit-identical.
+///
+/// Contract: `core_distances` is in original point order and
+/// `core_distances[i]` must equal, **bit for bit**, the value
+/// [`core_distances`](crate::core_distances)`(points, min_pts)[i]` would
+/// produce for the points `tree` indexes. Core distances are a property
+/// of the point *multiset* (the k-th smallest computed squared distance,
+/// then one `sqrt`), independent of kd-tree shape or visit order, so values
+/// carried over from a previous build satisfy this whenever the mutation
+/// left the point's k-NN distance unchanged. Feeding values that violate
+/// the contract yields an MST of a different mutual-reachability graph —
+/// consistent, but not HDBSCAN\* of the points.
+pub fn hdbscan_mst_on_tree<const D: usize>(
+    tree: &KdTree<D>,
     min_pts: usize,
-    max_batch_pairs: usize,
     core_distances: &[f64],
+    max_live_pairs: Option<usize>,
 ) -> HdbscanMst {
-    hdbscan_driver_with(
-        points,
+    assert!(min_pts >= 1, "minPts must be at least 1");
+    let engine = match max_live_pairs {
+        Some(cap) => MstEngine::Streaming(cap),
+        None => MstEngine::Memo,
+    };
+    mst_on_tree(
+        tree,
         min_pts,
         SepMode::Combined,
-        MstEngine::Streaming(max_batch_pairs),
-        Some(core_distances),
+        engine,
+        core_distances.to_vec(),
+        Stats::default(),
+        std::time::Instant::now(),
     )
 }
 
@@ -408,8 +420,10 @@ mod tests {
             let cds = core_distances(&pts, min_pts);
             assert_eq!(cds, want.core_distances);
             let memo = hdbscan_memogfk_with_cds(&pts, min_pts, &cds);
-            let stream = hdbscan_streaming_with_cds(&pts, min_pts, 23, &cds);
-            for got in [&memo, &stream] {
+            let tree = KdTree::build(&pts);
+            let on_tree = hdbscan_mst_on_tree(&tree, min_pts, &cds, None);
+            let stream = hdbscan_mst_on_tree(&tree, min_pts, &cds, Some(23));
+            for got in [&memo, &on_tree, &stream] {
                 assert_eq!(got.edges.len(), want.edges.len());
                 for (a, b) in got.edges.iter().zip(&want.edges) {
                     assert_eq!((a.u, a.v, a.w.to_bits()), (b.u, b.v, b.w.to_bits()));

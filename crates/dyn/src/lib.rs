@@ -37,71 +37,36 @@
 //!   how the tree decomposed the square. Merging forest edges harvested
 //!   from an old tree into candidates streamed from a new tree can
 //!   therefore flip tie outcomes and change the dendrogram bit pattern.
-//!   So the merge path restreams all WSPD pair batches of the *new* tree
-//!   through a fresh streaming Kruskal forest
-//!   ([`parclust_mst::StreamingForest`] via
-//!   [`parclust::hdbscan_streaming_with_cds`]) instead of splicing edges
-//!   across trees; what it saves is the dominant core-distance phase.
+//!   So every apply restreams all WSPD pairs of the *new* tree
+//!   ([`parclust::hdbscan_mst_on_tree`]) instead of splicing edges across
+//!   trees; what it saves is the dominant core-distance phase.
 //!
-//! ## Rebuild vs merge
+//! ## Affected set
 //!
-//! [`apply`](DynamicModel::apply) stabs the affected neighborhoods and
-//! routes by the invalidated fraction: above
-//! [`DynConfig::rebuild_fraction`] the carried values would not pay for the
-//! stab + selective kNN, so everything is recomputed ("rebuild"); below it,
-//! unaffected core distances are carried over and only the affected ∪
-//! inserted points are re-queried ("merge"). Because both paths end in the
-//! same exact pipeline over the same exact core-distance values, the policy
-//! is purely a performance lever — correctness never depends on which path
-//! ran. A changed effective `k = min(minPts, n)` (tiny models, or deletes
-//! crossing `minPts`) invalidates every carried value, so it forces the
-//! rebuild path regardless of policy.
+//! [`apply`](DynamicModel::apply) compacts the survivors, appends the
+//! inserts, and builds **one** kd-tree over the new live set. On that tree
+//! it recomputes the core distances of the *affected set* with per-point
+//! kNN, then builds the hierarchy. The affected set is every point in
+//! `new`, `from_parts` and `rebuild`, and whenever the batch changes the
+//! effective `k = min(minPts, n)` (a changed `k` makes every carried value
+//! a different statistic); otherwise it is the inserts plus the survivors
+//! the batch stabs. [`ApplyReport::path`] reports which case ran. The tree
+//! stays with the model until [`take_tree`](DynamicModel::take_tree) moves
+//! it out, so the serving layer does not build another.
 
-use parclust::{
-    condense_tree, dendrogram_par, hdbscan_memogfk_with_cds, hdbscan_streaming_with_cds,
-    CondensedTree, Dendrogram, HdbscanMst,
-};
+use parclust::{condense_tree, dendrogram_par, hdbscan_mst_on_tree, CondensedTree, Dendrogram};
 use parclust_geom::Point;
 use parclust_kdtree::KdTree;
 use rayon::prelude::*;
 
-/// How [`DynamicModel::apply`] chooses between its two update paths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MutationPolicy {
-    /// Cost model: merge below [`DynConfig::rebuild_fraction`], rebuild
-    /// above it.
-    #[default]
-    Auto,
-    /// Always recompute every core distance (the reference path).
-    AlwaysRebuild,
-    /// Always carry unaffected core distances, whatever the fraction.
-    /// (A changed effective `k` still forces a rebuild — carried values
-    /// would be values of a different statistic.)
-    ForceMerge,
-}
-
-/// Tuning for a [`DynamicModel`]. The defaults match the batch pipeline:
-/// in-memory MemoGFK restreams and a 25% invalidation threshold.
-#[derive(Debug, Clone, Copy)]
+/// Tuning for a [`DynamicModel`]. The default matches the batch pipeline
+/// (in-memory MemoGFK restreams).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DynConfig {
-    pub policy: MutationPolicy,
-    /// `Auto` rebuilds when more than this fraction of the new live set
-    /// had its core distance invalidated (affected survivors + inserts).
-    pub rebuild_fraction: f64,
     /// `Some(cap)` routes the MST restream through the bounded-memory
     /// streaming pipeline (at most `cap` live WSPD pairs per batch);
     /// `None` uses MemoGFK. Both are bit-identical.
     pub max_live_pairs: Option<usize>,
-}
-
-impl Default for DynConfig {
-    fn default() -> Self {
-        DynConfig {
-            policy: MutationPolicy::Auto,
-            rebuild_fraction: 0.25,
-            max_live_pairs: None,
-        }
-    }
 }
 
 /// One batch of mutations. Deletes name *current live indices* (positions
@@ -120,7 +85,8 @@ impl<const D: usize> MutationBatch<D> {
     }
 }
 
-/// Which path [`DynamicModel::apply`] took.
+/// What one [`DynamicModel::apply`] recomputed: `Rebuild` iff every core
+/// distance was recomputed, `Merge` if some were carried over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MutationPath {
     Merge,
@@ -165,6 +131,9 @@ pub struct DynamicModel<const D: usize> {
     core_distances: Vec<f64>,
     dendrogram: Dendrogram,
     condensed: CondensedTree,
+    /// The kd-tree over `points` this version was built on, until
+    /// [`DynamicModel::take_tree`] moves it out.
+    tree: Option<KdTree<D>>,
 }
 
 impl<const D: usize> DynamicModel<D> {
@@ -177,18 +146,24 @@ impl<const D: usize> DynamicModel<D> {
     ) -> Self {
         assert!(!points.is_empty(), "dynamic model needs at least one point");
         assert!(min_pts >= 1, "minPts must be at least 1");
-        let (cd_sq, cd) = full_core_distances(points, min_pts);
-        let (dendrogram, condensed) = build_hierarchy(points, min_pts, min_cluster_size, &cd, &cfg);
+        let points = points.to_vec();
+        let tree = KdTree::build(&points);
+        let all: Vec<usize> = (0..points.len()).collect();
+        let cd_sq = kth_dists_sq(&tree, &points, min_pts, &all);
+        let core_distances: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
+        let (dendrogram, condensed) =
+            build_hierarchy(&tree, min_pts, min_cluster_size, &core_distances, &cfg);
         DynamicModel {
             min_pts,
             min_cluster_size,
             cfg,
             version: 1,
-            points: points.to_vec(),
+            points,
             cd_sq,
-            core_distances: cd,
+            core_distances,
             dendrogram,
             condensed,
+            tree: Some(tree),
         }
     }
 
@@ -226,7 +201,10 @@ impl<const D: usize> DynamicModel<D> {
         if version == 0 {
             return Err("model versions start at 1".into());
         }
-        let (cd_sq, cd) = full_core_distances(&points, min_pts);
+        let tree = KdTree::build(&points);
+        let all: Vec<usize> = (0..n).collect();
+        let cd_sq = kth_dists_sq(&tree, &points, min_pts, &all);
+        let cd: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
         if cd != core_distances {
             return Err(
                 "supplied core distances disagree with the point set (wrong minPts or \
@@ -244,6 +222,7 @@ impl<const D: usize> DynamicModel<D> {
             core_distances,
             dendrogram,
             condensed,
+            tree: Some(tree),
         })
     }
 
@@ -288,14 +267,21 @@ impl<const D: usize> DynamicModel<D> {
         &self.condensed
     }
 
+    /// Move out the kd-tree over [`points`](Self::points) that the current
+    /// version was built on (bitwise `KdTree::build(self.points())`).
+    /// `None` if it was already taken; the next version builds a new one.
+    pub fn take_tree(&mut self) -> Option<KdTree<D>> {
+        self.tree.take()
+    }
+
     /// Apply one mutation batch: deletes first (by pre-batch live index),
     /// then inserts appended. Errors leave the model untouched.
     pub fn apply(&mut self, batch: &MutationBatch<D>) -> Result<ApplyReport, String> {
         self.apply_inner(batch, false)
     }
 
-    /// Force a full recomputation (the compaction primitive): equivalent to
-    /// applying an empty batch down the rebuild path. Bumps the version.
+    /// Recompute every core distance and the hierarchy over the current
+    /// live set (the compaction primitive). Bumps the version.
     pub fn rebuild(&mut self) -> ApplyReport {
         self.apply_inner(&MutationBatch::default(), true)
             .expect("empty rebuild batch cannot fail")
@@ -304,7 +290,7 @@ impl<const D: usize> DynamicModel<D> {
     fn apply_inner(
         &mut self,
         batch: &MutationBatch<D>,
-        force_rebuild: bool,
+        recompute_all: bool,
     ) -> Result<ApplyReport, String> {
         let n_old = self.points.len();
         let mut deletes = batch.deletes.clone();
@@ -321,38 +307,32 @@ impl<const D: usize> DynamicModel<D> {
             return Err("batch would delete every live point".into());
         }
 
-        // Survivors, old→new index map, and the new live order.
+        // Survivors with their carried squared core distances, then the
+        // inserts, whose radius of -inf no stab can hit.
         let n_surv = n_old - deletes.len();
         let mut deleted = vec![false; n_old];
         for &i in &deletes {
             deleted[i] = true;
         }
-        let mut new_points: Vec<Point<D>> = Vec::with_capacity(n_new);
-        let mut carried_cd_sq: Vec<f64> = Vec::with_capacity(n_new);
-        let mut carried_cd: Vec<f64> = Vec::with_capacity(n_new);
+        let mut points: Vec<Point<D>> = Vec::with_capacity(n_new);
+        let mut cd_sq: Vec<f64> = Vec::with_capacity(n_new);
         for i in 0..n_old {
             if !deleted[i] {
-                new_points.push(self.points[i]);
-                carried_cd_sq.push(self.cd_sq[i]);
-                carried_cd.push(self.core_distances[i]);
+                points.push(self.points[i]);
+                cd_sq.push(self.cd_sq[i]);
             }
         }
-        new_points.extend_from_slice(&batch.inserts);
+        points.extend_from_slice(&batch.inserts);
+        cd_sq.resize(n_new, f64::NEG_INFINITY);
+        let tree = KdTree::build(&points);
 
         // A changed effective k makes every carried value a different
-        // statistic; only the rebuild path is sound then.
+        // statistic; then nothing carries over.
         let k_unchanged = self.min_pts.min(n_old) == self.min_pts.min(n_new);
-        let want_merge = !force_rebuild
-            && k_unchanged
-            && !matches!(self.cfg.policy, MutationPolicy::AlwaysRebuild);
-
-        let (path, recomputed, cd_sq, cd) = if want_merge {
-            let tree = KdTree::build(&new_points);
-            // Stab radii: survivors carry their old squared core distance;
-            // inserts can never be stabbed (they are recomputed anyway).
-            let mut radii_sq = carried_cd_sq.clone();
-            radii_sq.resize(n_new, f64::NEG_INFINITY);
-            let ann = tree.max_radius_sq_annotation(&radii_sq);
+        let stale: Vec<usize> = if recompute_all || !k_unchanged {
+            (0..n_new).collect()
+        } else {
+            let ann = tree.max_radius_sq_annotation(&cd_sq);
             let mut affected = vec![false; n_new];
             for a in affected.iter_mut().skip(n_surv) {
                 *a = true;
@@ -360,104 +340,83 @@ impl<const D: usize> DynamicModel<D> {
             let mut hits = Vec::new();
             for b in &batch.inserts {
                 // Strict: an insert tying the k-th distance leaves it alone.
-                tree.stab_radii_into(b, &radii_sq, &ann, false, &mut hits);
+                tree.stab_radii_into(b, &cd_sq, &ann, false, &mut hits);
             }
             for &i in &deletes {
                 // Inclusive: removing a tie at the k-th distance can raise it.
-                tree.stab_radii_into(&self.points[i], &radii_sq, &ann, true, &mut hits);
+                tree.stab_radii_into(&self.points[i], &cd_sq, &ann, true, &mut hits);
             }
             for &i in &hits {
                 affected[i as usize] = true;
             }
-            let recomputed = affected.iter().filter(|&&a| a).count();
-            let fraction = recomputed as f64 / n_new as f64;
-            let merge = match self.cfg.policy {
-                MutationPolicy::ForceMerge => true,
-                MutationPolicy::Auto => fraction <= self.cfg.rebuild_fraction,
-                MutationPolicy::AlwaysRebuild => unreachable!("filtered above"),
-            };
-            if merge {
-                let mut cd_sq = carried_cd_sq;
-                cd_sq.resize(n_new, 0.0);
-                let mut cd = carried_cd;
-                cd.resize(n_new, 0.0);
-                let idx: Vec<usize> = (0..n_new).filter(|&i| affected[i]).collect();
-                let fresh: Vec<(usize, f64)> = idx
-                    .par_iter()
-                    .map(|&i| {
-                        let knn = tree.knn(&new_points[i], self.min_pts);
-                        // knn clamps k to n internally; the last entry is the
-                        // effective-k-th neighbor (self included).
-                        (i, knn.last().expect("non-empty tree").0)
-                    })
-                    .collect();
-                for (i, d_sq) in fresh {
-                    cd_sq[i] = d_sq;
-                    cd[i] = d_sq.sqrt();
-                }
-                (MutationPath::Merge, recomputed, cd_sq, cd)
-            } else {
-                let (cd_sq, cd) = full_core_distances(&new_points, self.min_pts);
-                (MutationPath::Rebuild, n_new, cd_sq, cd)
-            }
-        } else {
-            let (cd_sq, cd) = full_core_distances(&new_points, self.min_pts);
-            (MutationPath::Rebuild, n_new, cd_sq, cd)
+            (0..n_new).filter(|&i| affected[i]).collect()
         };
-
+        let fresh = kth_dists_sq(&tree, &points, self.min_pts, &stale);
+        for (&i, d_sq) in stale.iter().zip(fresh) {
+            cd_sq[i] = d_sq;
+        }
+        let core_distances: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
         let (dendrogram, condensed) = build_hierarchy(
-            &new_points,
+            &tree,
             self.min_pts,
             self.min_cluster_size,
-            &cd,
+            &core_distances,
             &self.cfg,
         );
-        self.points = new_points;
+        self.points = points;
         self.cd_sq = cd_sq;
-        self.core_distances = cd;
+        self.core_distances = core_distances;
         self.dendrogram = dendrogram;
         self.condensed = condensed;
+        self.tree = Some(tree);
         self.version += 1;
         Ok(ApplyReport {
-            path,
-            recomputed,
+            path: if stale.len() == n_new {
+                MutationPath::Rebuild
+            } else {
+                MutationPath::Merge
+            },
+            recomputed: stale.len(),
             inserted: batch.inserts.len(),
             deleted: deletes.len(),
-            n: self.points.len(),
+            n: n_new,
             version: self.version,
         })
     }
 }
 
-/// All core distances from one all-points kNN pass: the raw squared k-th
-/// distances plus their roots, bitwise what `parclust::core_distances`
-/// produces.
-fn full_core_distances<const D: usize>(
+/// Raw squared `min_pts`-th-NN distance (self included, `k` clamped to
+/// `n`) of each point `points[i]`, `i` in `idx`, queried on `tree`, which
+/// indexes `points`. Bitwise what `KdTree::knn_all` and hence
+/// `parclust::core_distances` compute.
+fn kth_dists_sq<const D: usize>(
+    tree: &KdTree<D>,
     points: &[Point<D>],
     min_pts: usize,
-) -> (Vec<f64>, Vec<f64>) {
-    let tree = KdTree::build(points);
-    let knn = tree.knn_all(min_pts);
-    let cd_sq: Vec<f64> = (0..points.len()).map(|i| knn.kth_dist_sq(i)).collect();
-    let cd: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
-    (cd_sq, cd)
+    idx: &[usize],
+) -> Vec<f64> {
+    idx.par_iter()
+        .map(|&i| {
+            tree.knn(&points[i], min_pts)
+                .last()
+                .expect("non-empty tree")
+                .0
+        })
+        .collect()
 }
 
-/// MST restream over exact core distances, then dendrogram + condensed
-/// tree — the shared tail of both mutation paths, identical to the batch
-/// pipeline (`ClusterModel::build` shape).
+/// MST restream over exact core distances on the version's one kd-tree,
+/// then dendrogram + condensed tree — identical to the batch pipeline
+/// (`ClusterModel::build` shape).
 fn build_hierarchy<const D: usize>(
-    points: &[Point<D>],
+    tree: &KdTree<D>,
     min_pts: usize,
     min_cluster_size: usize,
     cd: &[f64],
     cfg: &DynConfig,
 ) -> (Dendrogram, CondensedTree) {
-    let h: HdbscanMst = match cfg.max_live_pairs {
-        Some(cap) => hdbscan_streaming_with_cds(points, min_pts, cap, cd),
-        None => hdbscan_memogfk_with_cds(points, min_pts, cd),
-    };
-    let dendrogram = dendrogram_par(points.len(), &h.edges, 0);
+    let h = hdbscan_mst_on_tree(tree, min_pts, cd, cfg.max_live_pairs);
+    let dendrogram = dendrogram_par(tree.len(), &h.edges, 0);
     let condensed = condense_tree(&dendrogram, min_cluster_size);
     (dendrogram, condensed)
 }
@@ -507,17 +466,10 @@ mod tests {
     #[test]
     fn inserts_match_scratch_on_tie_heavy_grids() {
         let pts = grid_points(120, 1);
-        for policy in [
-            MutationPolicy::Auto,
-            MutationPolicy::AlwaysRebuild,
-            MutationPolicy::ForceMerge,
-        ] {
-            let cfg = DynConfig {
-                policy,
-                ..DynConfig::default()
-            };
-            let mut m = DynamicModel::new(&pts[..100], 4, 4, cfg);
-            for chunk in pts[100..].chunks(7) {
+        // Interleaved rebuilds: none, after every batch, after every other.
+        for rebuild_every in [None, Some(1), Some(2)] {
+            let mut m = DynamicModel::new(&pts[..100], 4, 4, DynConfig::default());
+            for (step, chunk) in pts[100..].chunks(7).enumerate() {
                 let report = m
                     .apply(&MutationBatch {
                         inserts: chunk.to_vec(),
@@ -525,7 +477,11 @@ mod tests {
                     })
                     .unwrap();
                 assert_eq!(report.inserted, chunk.len());
-                assert_matches_scratch(&m, &format!("{policy:?} insert"));
+                assert_matches_scratch(&m, &format!("{rebuild_every:?} insert {step}"));
+                if rebuild_every.is_some_and(|k| (step + 1) % k == 0) {
+                    assert_eq!(m.rebuild().path, MutationPath::Rebuild);
+                    assert_matches_scratch(&m, &format!("{rebuild_every:?} rebuild {step}"));
+                }
             }
             assert_eq!(m.len(), 120);
         }
@@ -534,11 +490,7 @@ mod tests {
     #[test]
     fn deletes_and_mixed_batches_match_scratch() {
         let pts = grid_points(150, 2);
-        let cfg = DynConfig {
-            policy: MutationPolicy::ForceMerge,
-            ..DynConfig::default()
-        };
-        let mut m = DynamicModel::new(&pts, 5, 3, cfg);
+        let mut m = DynamicModel::new(&pts, 5, 3, DynConfig::default());
         let report = m
             .apply(&MutationBatch {
                 inserts: vec![],
@@ -573,24 +525,22 @@ mod tests {
     }
 
     #[test]
-    fn policy_is_only_a_performance_lever() {
+    fn interleaved_rebuilds_leave_results_unchanged() {
         let pts = grid_points(90, 5);
         let batch = MutationBatch {
             inserts: grid_points(11, 6),
             deletes: vec![3, 50, 88],
         };
         let mut results = Vec::new();
-        for policy in [
-            MutationPolicy::AlwaysRebuild,
-            MutationPolicy::ForceMerge,
-            MutationPolicy::Auto,
-        ] {
-            let cfg = DynConfig {
-                policy,
-                ..DynConfig::default()
-            };
-            let mut m = DynamicModel::new(&pts, 6, 4, cfg);
+        for (before, after) in [(false, false), (true, false), (false, true)] {
+            let mut m = DynamicModel::new(&pts, 6, 4, DynConfig::default());
+            if before {
+                m.rebuild();
+            }
             m.apply(&batch).unwrap();
+            if after {
+                m.rebuild();
+            }
             results.push((
                 m.core_distances().to_vec(),
                 m.dendrogram().height.clone(),
@@ -602,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_small_batches_to_merge_and_avalanches_to_rebuild() {
+    fn path_reports_whether_every_core_distance_was_recomputed() {
         let mut rng = StdRng::seed_from_u64(9);
         // Spread-out points so one far-away insert affects almost nobody.
         let pts: Vec<Point<2>> = (0..200)
@@ -617,26 +567,29 @@ mod tests {
             .unwrap();
         assert_eq!(report.path, MutationPath::Merge);
         assert!(report.recomputed < 10, "recomputed {}", report.recomputed);
-        // Deleting most of the set invalidates everything.
+        // Deleting most of the set invalidates most carried values; the
+        // path only says whether all of them were recomputed.
         let report = m
             .apply(&MutationBatch {
                 inserts: vec![],
                 deletes: (0..150).collect(),
             })
             .unwrap();
-        assert_eq!(report.path, MutationPath::Rebuild);
+        assert_eq!(
+            report.path == MutationPath::Rebuild,
+            report.recomputed == report.n
+        );
         assert_matches_scratch(&m, "after avalanche");
+        let report = m.rebuild();
+        assert_eq!(report.path, MutationPath::Rebuild);
+        assert_eq!(report.recomputed, m.len());
     }
 
     #[test]
-    fn effective_k_change_forces_rebuild_even_under_force_merge() {
+    fn effective_k_change_recomputes_every_core_distance() {
         let pts = grid_points(4, 11);
-        let cfg = DynConfig {
-            policy: MutationPolicy::ForceMerge,
-            ..DynConfig::default()
-        };
         // minPts = 8 > n: effective k is n and moves with every mutation.
-        let mut m = DynamicModel::new(&pts, 8, 2, cfg);
+        let mut m = DynamicModel::new(&pts, 8, 2, DynConfig::default());
         let report = m
             .apply(&MutationBatch {
                 inserts: grid_points(3, 12),
@@ -644,7 +597,69 @@ mod tests {
             })
             .unwrap();
         assert_eq!(report.path, MutationPath::Rebuild);
+        assert_eq!(report.recomputed, 7);
         assert_matches_scratch(&m, "k-clamp insert");
+    }
+
+    /// kd-trees this thread builds while `f` runs, counted from the
+    /// `kdtree.build` spans in this thread's trace ring.
+    fn tree_builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        parclust_obs::trace::enable();
+        let count = || {
+            drop(parclust_obs::span!("test.count_tree_builds"));
+            let events = parclust_obs::export::drain();
+            let me = events
+                .iter()
+                .rev()
+                .find(|e| e.name == "test.count_tree_builds")
+                .expect("marker span recorded")
+                .tid;
+            events
+                .iter()
+                .filter(|e| e.tid == me && e.name == "kdtree.build")
+                .count()
+        };
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    #[test]
+    fn each_version_builds_one_tree_and_hands_it_out() {
+        let pts = grid_points(80, 19);
+        let same_as_fresh_build = |m: &mut DynamicModel<2>| {
+            let tree = m.take_tree().expect("a fresh version holds its tree");
+            let want = KdTree::build(m.points());
+            assert_eq!(tree.idx, want.idx);
+            assert_eq!(tree.flat_nodes().start, want.flat_nodes().start);
+            assert_eq!(tree.flat_nodes().end, want.flat_nodes().end);
+            assert!(m.take_tree().is_none(), "the tree moves out once");
+        };
+        let (mut m, builds) = tree_builds(|| DynamicModel::new(&pts, 4, 3, DynConfig::default()));
+        assert_eq!(builds, 1, "new");
+        let parts = (
+            m.core_distances().to_vec(),
+            m.dendrogram().clone(),
+            m.condensed().clone(),
+        );
+        same_as_fresh_build(&mut m);
+        let batch = MutationBatch {
+            inserts: grid_points(5, 20),
+            deletes: vec![1, 2],
+        };
+        let (_, builds) = tree_builds(|| m.apply(&batch).unwrap());
+        assert_eq!(builds, 1, "apply");
+        same_as_fresh_build(&mut m);
+        let (_, builds) = tree_builds(|| m.rebuild());
+        assert_eq!(builds, 1, "rebuild");
+        same_as_fresh_build(&mut m);
+        let (back, builds) = tree_builds(|| {
+            let (cd, d, c) = parts;
+            DynamicModel::from_parts(pts.clone(), 4, 3, DynConfig::default(), cd, d, c, 1)
+        });
+        assert_eq!(builds, 1, "from_parts");
+        same_as_fresh_build(&mut back.unwrap());
+        parclust_obs::trace::disable();
     }
 
     #[test]
@@ -726,7 +741,6 @@ mod tests {
         let pts = grid_points(100, 17);
         let cfg_stream = DynConfig {
             max_live_pairs: Some(37),
-            ..DynConfig::default()
         };
         let mut a = DynamicModel::new(&pts, 4, 4, DynConfig::default());
         let mut b = DynamicModel::new(&pts, 4, 4, cfg_stream);

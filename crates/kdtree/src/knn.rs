@@ -140,17 +140,7 @@ impl AllKnn {
     /// Distance to the k-th nearest neighbor of point `i` (including the
     /// point itself) — the HDBSCAN\* *core distance* when `k = minPts`.
     pub fn kth_dist(&self, i: usize) -> f64 {
-        self.kth_dist_sq(i).sqrt()
-    }
-
-    /// Raw squared distance to the k-th nearest neighbor of point `i` —
-    /// [`AllKnn::kth_dist`] before the final `sqrt`. Incremental updates
-    /// compare mutations against this value instead of the rounded root:
-    /// the "does this mutation change point `i`'s core distance" predicate
-    /// is then exact, because inserts/deletes move the same computed
-    /// squared-distance multiset the k-th statistic is drawn from.
-    pub fn kth_dist_sq(&self, i: usize) -> f64 {
-        self.dist_sq[i * self.k + self.k - 1]
+        self.dist_sq[i * self.k + self.k - 1].sqrt()
     }
 }
 

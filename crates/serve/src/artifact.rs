@@ -37,8 +37,8 @@
 //! than panics or silently wrong query answers.
 
 use parclust::{
-    condense_tree, dendrogram_par, hdbscan_memogfk, hdbscan_streaming, CondensedTree, Dendrogram,
-    NOISE,
+    condense_tree, core_distances_on_tree, dendrogram_par, hdbscan_mst_on_tree, CondensedTree,
+    Dendrogram, NOISE,
 };
 use parclust_data::io::{collect_points, le, PointSource};
 use parclust_geom::{Aabb, Point};
@@ -65,6 +65,50 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Replace the file at `path` with `bytes` without ever destroying the
+/// previous copy: write a sibling temp file, fsync it, rename it over
+/// `path`, then fsync the directory so the rename is durable too. A
+/// failure before the rename leaves the old file untouched and removes
+/// the temp file. Every artifact and dynamic-wrapper save goes through
+/// here.
+pub(crate) fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    write_file_atomic_with(path, |f| f.write_all(bytes))
+}
+
+/// [`write_file_atomic`] with the payload written by `fill`.
+fn write_file_atomic_with(
+    path: &Path,
+    fill: impl FnOnce(&mut std::fs::File) -> io::Result<()>,
+) -> io::Result<()> {
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::create_dir_all(dir)?;
+    let name = path
+        .file_name()
+        .ok_or_else(|| bad(format!("save path {} names no file", path.display())))?;
+    // Unique per writer: concurrent saves to one path never share a temp.
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(
+        ".{}-{:?}.tmp",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let tmp = dir.join(tmp_name);
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        fill(&mut f)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// A servable clustering model over `D`-dimensional points.
@@ -138,18 +182,17 @@ impl<const D: usize> ClusterModel<D> {
         max_live_pairs: Option<usize>,
     ) -> Self {
         assert!(!points.is_empty(), "model needs at least one point");
-        let h = match max_live_pairs {
-            Some(cap) => hdbscan_streaming(points, min_pts, cap),
-            None => hdbscan_memogfk(points, min_pts),
-        };
+        let tree = KdTree::build(points);
+        let core_distances = core_distances_on_tree(&tree, min_pts);
+        let h = hdbscan_mst_on_tree(&tree, min_pts, &core_distances, max_live_pairs);
         let dendrogram = dendrogram_par(points.len(), &h.edges, 0);
         let condensed = condense_tree(&dendrogram, min_cluster_size);
         ClusterModel {
             min_pts,
             min_cluster_size,
             points: points.to_vec(),
-            tree: KdTree::build(points),
-            core_distances: h.core_distances,
+            tree,
+            core_distances,
             dendrogram,
             condensed,
         }
@@ -234,15 +277,10 @@ impl<const D: usize> ClusterModel<D> {
         Ok(buf)
     }
 
-    /// Write the artifact to `path` (payload + trailing checksum).
+    /// Write the artifact to `path` (payload + trailing checksum),
+    /// atomically: a failed save leaves any previous file intact.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let buf = self.to_bytes()?;
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, buf)
+        write_file_atomic(path, &self.to_bytes()?)
     }
 
     /// Load an artifact written by [`ClusterModel::save`], validating the
@@ -508,6 +546,36 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("parclust-serve-test-{}-{name}", std::process::id()));
         p
+    }
+
+    #[test]
+    fn a_failed_save_keeps_the_previous_file_and_leaves_no_temp_file() {
+        let dir = tmp("atomic-save");
+        let path = dir.join("model.pcsm");
+        ClusterModel::build(&blobs2(30, 11), 4, 3)
+            .save(&path)
+            .unwrap();
+        let before = std::fs::read(&path).unwrap();
+        let next = ClusterModel::build(&blobs2(40, 12), 4, 3)
+            .to_bytes()
+            .unwrap();
+        let entries = || std::fs::read_dir(&dir).unwrap().count();
+
+        // The injected writer gets half the new bytes out, then fails.
+        let err = write_file_atomic_with(&path, |f| {
+            f.write_all(&next[..next.len() / 2])?;
+            Err(io::Error::other("injected write failure"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "injected write failure");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(entries(), 1, "the temp file must be removed");
+
+        // A save that succeeds replaces the file and leaves nothing else.
+        write_file_atomic(&path, &next).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), next);
+        assert_eq!(entries(), 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

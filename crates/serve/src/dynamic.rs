@@ -15,8 +15,8 @@
 //! (all little-endian):
 //!
 //! ```text
-//! "PCDY" | dyn_version u32 | dims u32
-//! policy u8 | rebuild_fraction f64 | max_live_pairs u64   (0 = MemoGFK)
+//! "PCDY" | dyn_version u32 (= 2) | dims u32
+//! max_live_pairs u64                   (0 = MemoGFK)
 //! model_version u64 | base_version u64
 //! base_len u64 | base bytes            (a complete "PCSM" artifact)
 //! n_batches u64, per batch: n_inserts u64, coords n·D f64,
@@ -28,15 +28,23 @@
 //! bit-identical to a from-scratch build at every step (pinned by
 //! `tests/incremental_semantics.rs`) — and cross-checks the final version
 //! number. [`DynModelHandle::compact`] rebases: it rebuilds, serializes
-//! the current state as the new base, and empties the journal.
+//! the current state as the new base, and empties the journal. Version 1
+//! also stored the removed merge-vs-rebuild policy knobs; it is rejected
+//! by the version check.
+//!
+//! ## One kd-tree per version
+//!
+//! Each model version builds exactly one kd-tree, inside
+//! [`DynamicModel`]. Publishing moves that tree into the served
+//! [`ClusterModel`], and the entry keeps the handle it published, so
+//! neither a mutation nor [`DynModelHandle::query_handle`] builds another.
 
-use crate::artifact::{fnv1a64, ClusterModel};
+use crate::artifact::{fnv1a64, write_file_atomic, ClusterModel};
 use crate::registry::{handle_for_model, ModelHandle, ModelRegistry};
 use crate::with_model_dims;
 use parclust_data::io::le;
-use parclust_dyn::{DynConfig, DynamicModel, MutationBatch, MutationPolicy};
+use parclust_dyn::{DynConfig, DynamicModel, MutationBatch};
 use parclust_geom::Point;
-use parclust_kdtree::KdTree;
 use serde_json::Value;
 use std::io::{self, Read};
 use std::path::Path;
@@ -45,7 +53,7 @@ use std::sync::{Arc, Mutex};
 /// Dynamic-wrapper magic: "ParClust DYnamic".
 pub const DYN_MAGIC: &[u8; 4] = b"PCDY";
 /// Current dynamic-wrapper format version.
-pub const DYN_FORMAT_VERSION: u32 = 1;
+pub const DYN_FORMAT_VERSION: u32 = 2;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -88,6 +96,8 @@ pub trait DynModelHandle: Send + Sync {
 
 struct DynState<const D: usize> {
     model: DynamicModel<D>,
+    /// The query handle published for the current version.
+    handle: Arc<dyn ModelHandle>,
     /// Serialized base artifact (complete "PCSM" bytes) the journal
     /// replays on top of.
     base: Vec<u8>,
@@ -102,43 +112,6 @@ pub struct DynEntry<const D: usize> {
     state: Mutex<DynState<D>>,
 }
 
-fn policy_byte(p: MutationPolicy) -> u8 {
-    match p {
-        MutationPolicy::Auto => 0,
-        MutationPolicy::AlwaysRebuild => 1,
-        MutationPolicy::ForceMerge => 2,
-    }
-}
-
-fn policy_from_byte(b: u8) -> io::Result<MutationPolicy> {
-    match b {
-        0 => Ok(MutationPolicy::Auto),
-        1 => Ok(MutationPolicy::AlwaysRebuild),
-        2 => Ok(MutationPolicy::ForceMerge),
-        other => Err(bad(format!("unknown mutation policy byte {other}"))),
-    }
-}
-
-/// Parse a policy knob as accepted by the admin API.
-pub fn policy_from_str(s: &str) -> Result<MutationPolicy, String> {
-    match s {
-        "auto" => Ok(MutationPolicy::Auto),
-        "rebuild" => Ok(MutationPolicy::AlwaysRebuild),
-        "merge" => Ok(MutationPolicy::ForceMerge),
-        other => Err(format!(
-            "unknown policy {other:?} (expected \"auto\", \"rebuild\", or \"merge\")"
-        )),
-    }
-}
-
-fn policy_str(p: MutationPolicy) -> &'static str {
-    match p {
-        MutationPolicy::Auto => "auto",
-        MutationPolicy::AlwaysRebuild => "rebuild",
-        MutationPolicy::ForceMerge => "merge",
-    }
-}
-
 impl<const D: usize> DynEntry<D> {
     /// Wrap a freshly loaded base artifact as a dynamic model at
     /// `base_version` with an empty journal.
@@ -147,7 +120,7 @@ impl<const D: usize> DynEntry<D> {
         base_bytes: Vec<u8>,
         cfg: DynConfig,
     ) -> io::Result<Arc<Self>> {
-        let dyn_model = DynamicModel::from_parts(
+        let mut dyn_model = DynamicModel::from_parts(
             model.points,
             model.min_pts,
             model.min_cluster_size,
@@ -160,6 +133,7 @@ impl<const D: usize> DynEntry<D> {
         .map_err(bad)?;
         Ok(Arc::new(DynEntry {
             state: Mutex::new(DynState {
+                handle: handle_for_model(current_model(&mut dyn_model)),
                 model: dyn_model,
                 base: base_bytes,
                 base_version: 1,
@@ -175,15 +149,18 @@ impl<const D: usize> DynEntry<D> {
     }
 }
 
-/// Rebuild a servable [`ClusterModel`] from the dynamic model's current
-/// state (the kd-tree is rebuilt: deterministic, and cheap next to the
-/// hierarchy work that produced this state).
-fn to_cluster_model<const D: usize>(m: &DynamicModel<D>) -> ClusterModel<D> {
+/// Package the dynamic model's current version as a servable
+/// [`ClusterModel`], moving in the kd-tree that version was built on.
+/// Called once per version.
+fn current_model<const D: usize>(m: &mut DynamicModel<D>) -> ClusterModel<D> {
+    let tree = m
+        .take_tree()
+        .expect("each model version is published once, with the tree it was built on");
     ClusterModel {
         min_pts: m.min_pts(),
         min_cluster_size: m.min_cluster_size(),
         points: m.points().to_vec(),
-        tree: KdTree::build(m.points()),
+        tree,
         core_distances: m.core_distances().to_vec(),
         dendrogram: m.dendrogram().clone(),
         condensed: m.condensed().clone(),
@@ -191,15 +168,12 @@ fn to_cluster_model<const D: usize>(m: &DynamicModel<D>) -> ClusterModel<D> {
 }
 
 fn write_wrapper<const D: usize>(state: &DynState<D>) -> io::Result<Vec<u8>> {
-    let cfg = state.model.config();
     let mut buf = Vec::new();
     let w = &mut buf;
     w.extend_from_slice(DYN_MAGIC);
     le::write_u32(w, DYN_FORMAT_VERSION)?;
     le::write_u32(w, D as u32)?;
-    w.push(policy_byte(cfg.policy));
-    le::write_f64(w, cfg.rebuild_fraction)?;
-    le::write_u64(w, cfg.max_live_pairs.unwrap_or(0) as u64)?;
+    le::write_u64(w, state.model.config().max_live_pairs.unwrap_or(0) as u64)?;
     le::write_u64(w, state.model.version())?;
     le::write_u64(w, state.base_version)?;
     le::write_u64(w, state.base.len() as u64)?;
@@ -233,21 +207,18 @@ impl<const D: usize> DynModelHandle for DynEntry<D> {
 
     fn info(&self) -> Value {
         let state = self.lock();
-        let cfg = state.model.config();
         serde_json::json!({
             "dynamic": true,
             "version": state.model.version(),
             "n": state.model.len() as u64,
             "journal_batches": state.journal.len() as u64,
             "base_version": state.base_version,
-            "policy": policy_str(cfg.policy),
-            "rebuild_fraction": cfg.rebuild_fraction,
-            "max_live_pairs": cfg.max_live_pairs.unwrap_or(0) as u64,
+            "max_live_pairs": state.model.config().max_live_pairs.unwrap_or(0) as u64,
         })
     }
 
     fn query_handle(&self) -> Arc<dyn ModelHandle> {
-        handle_for_model(to_cluster_model(&self.lock().model))
+        Arc::clone(&self.lock().handle)
     }
 
     fn mutate(
@@ -283,10 +254,11 @@ impl<const D: usize> DynModelHandle for DynEntry<D> {
         let mut state = self.lock();
         let report = state.model.apply(&batch)?;
         state.journal.push(batch);
+        state.handle = handle_for_model(current_model(&mut state.model));
         // Publish while still holding the mutation lock: registry snapshots
         // of this id appear in version order.
         registry
-            .insert(id, handle_for_model(to_cluster_model(&state.model)))
+            .insert(id, Arc::clone(&state.handle))
             .map_err(|e| format!("republish {id:?}: {e}"))?;
         Ok(serde_json::json!({
             "model": id,
@@ -307,17 +279,18 @@ impl<const D: usize> DynModelHandle for DynEntry<D> {
     ) -> Result<Value, String> {
         let mut state = self.lock();
         let report = state.model.rebuild();
-        let compacted = to_cluster_model(&state.model);
+        let compacted = current_model(&mut state.model);
         state.base = compacted.to_bytes().map_err(|e| format!("rebase: {e}"))?;
         state.base_version = report.version;
         state.journal.clear();
+        state.handle = handle_for_model(compacted);
         registry
-            .insert(id, handle_for_model(compacted))
+            .insert(id, Arc::clone(&state.handle))
             .map_err(|e| format!("republish {id:?}: {e}"))?;
         let saved = match save_path {
             Some(path) => {
                 let buf = write_wrapper(&*state).map_err(|e| format!("serialize: {e}"))?;
-                std::fs::write(path, buf).map_err(|e| format!("write {path:?}: {e}"))?;
+                write_file_atomic(path, &buf).map_err(|e| format!("write {path:?}: {e}"))?;
                 Value::String(path.display().to_string())
             }
             None => Value::Null,
@@ -333,12 +306,7 @@ impl<const D: usize> DynModelHandle for DynEntry<D> {
 
     fn save(&self, path: &Path) -> io::Result<()> {
         let buf = write_wrapper(&*self.lock())?;
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(path, buf)
+        write_file_atomic(path, &buf)
     }
 }
 
@@ -371,18 +339,9 @@ fn from_bytes<const D: usize>(bytes: &[u8]) -> io::Result<Arc<DynEntry<D>>> {
             "dynamic artifact has {dims} dims, expected {D}"
         )));
     }
-    let mut policy = [0u8; 1];
-    r.read_exact(&mut policy)?;
-    let policy = policy_from_byte(policy[0])?;
-    let rebuild_fraction = le::read_f64(&mut r)?;
-    if !rebuild_fraction.is_finite() || rebuild_fraction < 0.0 {
-        return Err(bad("rebuild_fraction must be finite and non-negative"));
-    }
     let cap = le::read_u64(&mut r)? as usize;
     let cfg = DynConfig {
-        policy,
-        rebuild_fraction,
-        max_live_pairs: if cap == 0 { None } else { Some(cap) },
+        max_live_pairs: (cap != 0).then_some(cap),
     };
     let model_version = le::read_u64(&mut r)?;
     let base_version = le::read_u64(&mut r)?;
@@ -438,6 +397,7 @@ fn from_bytes<const D: usize>(bytes: &[u8]) -> io::Result<Arc<DynEntry<D>>> {
     }
     Ok(Arc::new(DynEntry {
         state: Mutex::new(DynState {
+            handle: handle_for_model(current_model(&mut model)),
             model,
             base: base.to_vec(),
             base_version,
@@ -586,6 +546,58 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(back.version(), 3);
         assert_eq!(back.query_handle().labeling(spec).labels, before);
+    }
+
+    /// kd-trees this thread builds while `f` runs, counted from the
+    /// `kdtree.build` spans in this thread's trace ring.
+    fn tree_builds<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        parclust_obs::trace::enable();
+        let count = || {
+            drop(parclust_obs::span!("test.count_tree_builds"));
+            let events = parclust_obs::export::drain();
+            let me = events
+                .iter()
+                .rev()
+                .find(|e| e.name == "test.count_tree_builds")
+                .expect("marker span recorded")
+                .tid;
+            events
+                .iter()
+                .filter(|e| e.tid == me && e.name == "kdtree.build")
+                .count()
+        };
+        let before = count();
+        let out = f();
+        (out, count() - before)
+    }
+
+    #[test]
+    fn each_model_version_builds_exactly_one_kd_tree() {
+        let (model, builds) = tree_builds(|| ClusterModel::build(&blob_points(50, 5), 4, 3));
+        assert_eq!(builds, 1, "ClusterModel::build");
+        let path = tmp("one-tree.pcsm");
+        model.save(&path).unwrap();
+        let (entry, builds) =
+            tree_builds(|| wrap_artifact_path(&path, DynConfig::default()).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(builds, 1, "wrapping an artifact");
+
+        let registry = ModelRegistry::new();
+        let (_, builds) = tree_builds(|| registry.insert("m", entry.query_handle()).unwrap());
+        assert_eq!(builds, 0, "query_handle hands out the published handle");
+        let (_, builds) = tree_builds(|| entry.mutate(&registry, "m", &[9.0, 9.0], &[0]).unwrap());
+        assert_eq!(builds, 1, "mutate");
+        let served = registry.snapshot().get("m").unwrap();
+        assert!(Arc::ptr_eq(&entry.query_handle(), &served));
+
+        let wrapper = tmp("one-tree.pcdy");
+        entry.save(&wrapper).unwrap();
+        let (_, builds) = tree_builds(|| load_dynamic_path(&wrapper).unwrap());
+        std::fs::remove_file(&wrapper).ok();
+        assert_eq!(builds, 2, "base version + one replayed batch");
+        let (_, builds) = tree_builds(|| entry.compact(&registry, "m", None).unwrap());
+        assert_eq!(builds, 1, "compact");
+        parclust_obs::trace::disable();
     }
 
     #[test]

@@ -27,11 +27,12 @@
 //! | `POST /admin/compact` | `{"id": s, "save_path"?: s}` | rebuild + rebase a dynamic model |
 //!
 //! `/admin/load` with `"dynamic": true` wraps a `.pcsm` artifact as a
-//! mutable model (optional knobs: `"policy"` of `"auto"`/`"rebuild"`/
-//! `"merge"`, `"rebuild_fraction"`, `"max_live_pairs"`); `.pcdy` dynamic
-//! wrappers load as dynamic either way. Each `insert` batch applies the
-//! incremental pipeline and publishes a new immutable model version —
-//! concurrent queries keep reading the version they resolved.
+//! mutable model (optional knob: `"max_live_pairs"`, the streaming
+//! restream's pair cap); `.pcdy` dynamic wrappers load as dynamic either
+//! way. The removed `"policy"` and `"rebuild_fraction"` knobs answer 400.
+//! Each `insert` batch applies the incremental pipeline and publishes a
+//! new immutable model version — concurrent queries keep reading the
+//! version they resolved.
 //!
 //! JSON labels are integers with noise as `-1`; pass `"include_labels":
 //! false` to `/cut` / `/eom` for counts only. `/assign_binary` answers
@@ -528,6 +529,15 @@ fn admin_load(registry: &ModelRegistry, body: &[u8]) -> (u16, Body) {
     ) else {
         return (400, json_err("pass \"id\" and \"path\""));
     };
+    if let Some(knob) = REMOVED_LOAD_KNOBS.iter().find(|k| v.get(k).is_some()) {
+        return (
+            400,
+            json_err(format!(
+                "{knob:?} was removed: every insert recomputes exactly the core \
+                 distances it can change"
+            )),
+        );
+    }
     let load_result = if v.get("dynamic").and_then(Value::as_bool) == Some(true) {
         match dyn_config_from_json(&v) {
             Ok(cfg) => load_dynamic(registry, id, std::path::Path::new(path), cfg),
@@ -594,20 +604,13 @@ fn parse_flat_points(raw: &[Value], dims: usize) -> Result<Vec<f64>, String> {
     Ok(flat)
 }
 
-/// Rebuild-vs-merge knobs from an `/admin/load` body.
+/// `/admin/load` knobs of the merge-vs-rebuild policy, which no longer
+/// exists; naming one is an error rather than silently ignored.
+const REMOVED_LOAD_KNOBS: [&str; 2] = ["policy", "rebuild_fraction"];
+
+/// Dynamic-model knobs from an `/admin/load` body.
 fn dyn_config_from_json(v: &Value) -> Result<parclust_dyn::DynConfig, String> {
     let mut cfg = parclust_dyn::DynConfig::default();
-    if let Some(p) = v.get("policy") {
-        let p = p.as_str().ok_or("policy must be a string")?;
-        cfg.policy = crate::dynamic::policy_from_str(p)?;
-    }
-    if let Some(f) = v.get("rebuild_fraction") {
-        let f = finite_f64(f, "rebuild_fraction")?;
-        if f < 0.0 {
-            return Err("rebuild_fraction must be non-negative".to_string());
-        }
-        cfg.rebuild_fraction = f;
-    }
     if let Some(c) = v.get("max_live_pairs") {
         let c = c
             .as_u64()

@@ -52,7 +52,7 @@
 //! Models loaded as **dynamic** ([`dynamic`]) additionally accept batched
 //! inserts/deletes (`POST /models/{id}/insert`) and compaction
 //! (`POST /admin/compact`): every mutation runs the incremental
-//! rebuild-vs-merge pipeline from `parclust-dyn` and republishes a fresh
+//! pipeline from `parclust-dyn` and republishes a fresh
 //! immutable model version through the registry snapshot — readers never
 //! block and never observe a partially mutated model.
 

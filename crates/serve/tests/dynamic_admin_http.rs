@@ -9,10 +9,14 @@
 //! * error paths — malformed or truncated admin bodies answer
 //!   `400` with a JSON `error` field on the wire (regression for the
 //!   close-with-unread-data RST race that used to destroy the queued
-//!   400 before the peer could read it), and mutation routes distinguish
-//!   read-only (400) from unknown (404) models.
+//!   400 before the peer could read it), as do the removed
+//!   `policy`/`rebuild_fraction` load knobs and version-1 `PCDY`
+//!   wrappers; mutation routes distinguish read-only (400) from unknown
+//!   (404) models.
 
 use parclust::{Point, NOISE};
+use parclust_serve::artifact::fnv1a64;
+use parclust_serve::dynamic::wrap_artifact_path;
 use parclust_serve::{
     start, Client, ClusterModel, EngineHandle, LabelingSpec, ModelRegistry, QueryEngine,
     ServerConfig,
@@ -107,7 +111,6 @@ fn insert_and_compact_over_http_match_a_scratch_build() {
                 "id": "live",
                 "path": base_path.to_str().unwrap(),
                 "dynamic": true,
-                "policy": "auto",
             }),
         )
         .unwrap();
@@ -278,6 +281,61 @@ fn malformed_admin_bodies_answer_400_json_not_a_dropped_connection() {
         .unwrap();
     assert_eq!(status, 400);
     assert!(body.get("error").is_some(), "{body}");
+
+    // The removed merge-vs-rebuild knobs are named, not silently ignored.
+    let base_path = tmp("sweep-base.pcsm");
+    ClusterModel::build(&blob_points(40, 33), 4, 3)
+        .save(&base_path)
+        .unwrap();
+    for (knob, value) in [
+        ("policy", serde_json::json!("rebuild")),
+        ("rebuild_fraction", serde_json::json!(0.25)),
+    ] {
+        let mut load = serde_json::json!({
+            "id": "knobbed",
+            "path": base_path.to_str().unwrap(),
+            "dynamic": true,
+        });
+        if let Value::Object(m) = &mut load {
+            m.push((knob.to_string(), value));
+        }
+        let (status, body) = client.post("/admin/load", &load).unwrap();
+        assert_eq!(status, 400, "{knob}: {body}");
+        let msg = body.get("error").and_then(Value::as_str).unwrap_or("");
+        assert!(msg.contains(knob) && msg.contains("removed"), "{msg}");
+    }
+
+    // A version-1 PCDY wrapper (it carried a policy byte and a
+    // rebuild_fraction after the dims) fails the version check.
+    let wrapper_path = tmp("sweep-v1.pcdy");
+    wrap_artifact_path(&base_path, Default::default())
+        .unwrap()
+        .save(&wrapper_path)
+        .unwrap();
+    std::fs::remove_file(&base_path).ok();
+    let v2 = std::fs::read(&wrapper_path).unwrap();
+    let mut v1 = v2[..4].to_vec();
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&v2[8..12]);
+    v1.push(0);
+    v1.extend_from_slice(&0.25f64.to_le_bytes());
+    v1.extend_from_slice(&v2[12..v2.len() - 8]);
+    let sum = fnv1a64(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(&wrapper_path, &v1).unwrap();
+    let (status, body) = client
+        .post(
+            "/admin/load",
+            &serde_json::json!({"id": "old", "path": wrapper_path.to_str().unwrap()}),
+        )
+        .unwrap();
+    std::fs::remove_file(&wrapper_path).ok();
+    assert_eq!(status, 400, "{body}");
+    let msg = body.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        msg.contains("unsupported dynamic artifact version 1"),
+        "{msg}"
+    );
     drop(client);
 
     server.shutdown();

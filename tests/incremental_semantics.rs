@@ -1,20 +1,21 @@
 //! Differential mutation harness: the dynamic-model contract.
 //!
 //! For *every* generated mutation sequence — inserts, deletes, mixed
-//! batches, any batch granularity, any policy (`Auto`, `AlwaysRebuild`,
-//! `ForceMerge`), memo or streaming restream, at 1/2/4/8 threads — the
-//! incrementally maintained model must be **bit identical** to a
-//! from-scratch HDBSCAN\* build over the surviving live points: same core
-//! distances, same ordered dendrogram, same condensed tree and labels.
+//! batches, any batch granularity, `rebuild()` (full recompute, the
+//! compaction primitive) interleaved at random steps, memo or streaming
+//! restream, at 1/2/4/8 threads — the incrementally maintained model must
+//! be **bit identical** to a from-scratch HDBSCAN\* build over the
+//! surviving live points: same core distances, same ordered dendrogram,
+//! same condensed tree and labels.
 //!
-//! This is the pin that keeps the rebuild-vs-merge cost model an
-//! optimization rather than a semantics knob. Point sets are tie-heavy
+//! This is the pin that keeps carrying unaffected core distances an
+//! optimization rather than a semantics change. Point sets are tie-heavy
 //! (integer-ish grids with duplicates) on purpose: exact-distance ties are
 //! where carried state goes wrong first. The case count honors
 //! `PROPTEST_CASES`.
 
 use parclust::{condense_tree, dendrogram_par, hdbscan_memogfk, Point};
-use parclust_dyn::{DynConfig, DynamicModel, MutationBatch, MutationPolicy};
+use parclust_dyn::{DynConfig, DynamicModel, MutationBatch, MutationPath};
 use proptest::prelude::*;
 
 fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
@@ -77,9 +78,10 @@ fn scratch_fingerprint<const D: usize>(
     }
 }
 
-/// Raw generated ops: insert coordinates plus delete seeds that are mapped
-/// onto valid live indices at apply time.
-type RawOp = (Vec<(i32, i32, u8)>, Vec<u16>);
+/// Raw generated ops: insert coordinates, delete seeds that are mapped
+/// onto valid live indices at apply time, and whether to `rebuild()`
+/// after the batch.
+type RawOp = (Vec<(i32, i32, u8)>, Vec<u16>, bool);
 
 fn grid_point(x: i32, y: i32, jitter: u8) -> Point<2> {
     // Integer grid plus quantized jitter: many exact duplicates and ties.
@@ -114,6 +116,7 @@ fn ops_strategy(max_ops: usize) -> impl Strategy<Value = Vec<RawOp>> {
         (
             prop::collection::vec((0i32..24, 0i32..24, 0u8..4), 0..7),
             prop::collection::vec(any::<u16>(), 0..7),
+            any::<bool>(),
         ),
         1..max_ops,
     )
@@ -128,46 +131,63 @@ fn initial_points_strategy(max_n: usize) -> impl Strategy<Value = Vec<Point<2>>>
 }
 
 fn config_strategy() -> impl Strategy<Value = DynConfig> {
-    (0usize..3, 0usize..600, 0.0f64..1.0).prop_map(|(p, cap, rebuild_fraction)| DynConfig {
-        policy: match p {
-            0 => MutationPolicy::Auto,
-            1 => MutationPolicy::AlwaysRebuild,
-            _ => MutationPolicy::ForceMerge,
-        },
-        rebuild_fraction,
+    (0usize..600).prop_map(|cap| DynConfig {
         // Caps below 8 stand in for "no cap": exercise the MemoGFK restream.
         max_live_pairs: if cap < 8 { None } else { Some(cap) },
     })
 }
 
+/// Where a sequence calls `rebuild()`.
+#[derive(Debug, Clone, Copy)]
+enum Rebuilds {
+    /// After the batches whose generated flag is set.
+    AsGenerated,
+    /// After every batch: every core distance recomputed at every step.
+    EveryStep,
+}
+
 /// Run a whole sequence, checking the model against the oracle after every
-/// batch, and return the final fingerprint.
+/// batch and every rebuild, and return the final fingerprint.
 fn run_sequence(
     init: &[Point<2>],
     ops: &[RawOp],
     min_pts: usize,
     mcs: usize,
     cfg: DynConfig,
+    rebuilds: Rebuilds,
     check_each_step: bool,
 ) -> Fingerprint {
     let mut m = DynamicModel::new(init, min_pts, mcs, cfg);
-    for (step, op) in ops.iter().enumerate() {
-        let batch = batch_from_raw(m.len(), op);
-        if batch.is_empty() {
-            continue;
-        }
-        let report = m.apply(&batch).expect("generated batches are valid");
-        assert_eq!(report.n, m.len());
+    let check = |m: &DynamicModel<2>, what: String| {
         if check_each_step {
             let want = scratch_fingerprint(m.points(), min_pts, mcs);
+            assert_eq!(fingerprint(m), want, "{what} diverged from scratch");
+        }
+    };
+    for (step, op) in ops.iter().enumerate() {
+        let batch = batch_from_raw(m.len(), op);
+        if !batch.is_empty() {
+            let report = m.apply(&batch).expect("generated batches are valid");
+            assert_eq!(report.n, m.len());
             assert_eq!(
-                fingerprint(&m),
-                want,
-                "step {step} ({:?}, {} ins / {} del) diverged from scratch",
-                cfg.policy,
-                report.inserted,
-                report.deleted,
+                report.path == MutationPath::Rebuild,
+                report.recomputed == report.n
             );
+            check(
+                &m,
+                format!(
+                    "step {step} ({} ins / {} del, {} recomputed)",
+                    report.inserted, report.deleted, report.recomputed
+                ),
+            );
+        }
+        if matches!(rebuilds, Rebuilds::EveryStep) || op.2 {
+            let report = m.rebuild();
+            assert_eq!(
+                (report.path, report.recomputed),
+                (MutationPath::Rebuild, m.len())
+            );
+            check(&m, format!("rebuild after step {step}"));
         }
     }
     fingerprint(&m)
@@ -178,7 +198,7 @@ proptest! {
 
     /// Core property: after every batch of every generated sequence, the
     /// incremental model equals a from-scratch rebuild, bit for bit —
-    /// whatever the policy, threshold, or restream engine.
+    /// wherever rebuilds interleave, whatever the restream engine.
     #[test]
     fn every_mutation_sequence_matches_scratch(
         init in initial_points_strategy(50),
@@ -187,17 +207,11 @@ proptest! {
         mcs in 2usize..6,
         cfg in config_strategy(),
     ) {
-        let last = run_sequence(&init, &ops, min_pts, mcs, cfg, true);
-        // Belt and braces: the final state also matches the reference
-        // AlwaysRebuild run of the same sequence.
-        let reference = run_sequence(
-            &init,
-            &ops,
-            min_pts,
-            mcs,
-            DynConfig { policy: MutationPolicy::AlwaysRebuild, ..cfg },
-            false,
-        );
+        let last = run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::AsGenerated, true);
+        // Belt and braces: the final state also matches the same sequence
+        // with every core distance recomputed after every batch.
+        let reference =
+            run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::EveryStep, false);
         prop_assert_eq!(last, reference);
     }
 
@@ -239,11 +253,13 @@ proptest! {
         mcs in 2usize..5,
         cfg in config_strategy(),
     ) {
-        let baseline =
-            in_pool(1, || run_sequence(&init, &ops, min_pts, mcs, cfg, true));
+        let baseline = in_pool(1, || {
+            run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::AsGenerated, true)
+        });
         for threads in [2usize, 4, 8] {
-            let run =
-                in_pool(threads, || run_sequence(&init, &ops, min_pts, mcs, cfg, false));
+            let run = in_pool(threads, || {
+                run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::AsGenerated, false)
+            });
             prop_assert_eq!(
                 baseline.clone(),
                 run,
@@ -264,16 +280,9 @@ fn smooth_coordinate_sequences_match_scratch() {
         let init: Vec<Point<2>> = (0..80)
             .map(|_| Point([rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0)]))
             .collect();
-        for policy in [
-            MutationPolicy::Auto,
-            MutationPolicy::AlwaysRebuild,
-            MutationPolicy::ForceMerge,
-        ] {
-            let cfg = DynConfig {
-                policy,
-                ..DynConfig::default()
-            };
-            let mut m = DynamicModel::new(&init, min_pts, mcs, cfg);
+        // Rebuilds interleaved never, at random steps, or after every batch.
+        for rebuild_odds in [0.0, 0.5, 1.0] {
+            let mut m = DynamicModel::new(&init, min_pts, mcs, DynConfig::default());
             for _ in 0..4 {
                 let inserts: Vec<Point<2>> = (0..rng.gen_range(0..6))
                     .map(|_| Point([rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0)]))
@@ -284,10 +293,13 @@ fn smooth_coordinate_sequences_match_scratch() {
                     continue;
                 }
                 m.apply(&MutationBatch { inserts, deletes }).unwrap();
+                if rng.gen_bool(rebuild_odds) {
+                    m.rebuild();
+                }
                 assert_eq!(
                     fingerprint(&m),
                     scratch_fingerprint(m.points(), min_pts, mcs),
-                    "{policy:?} min_pts={min_pts}"
+                    "rebuild odds {rebuild_odds} min_pts={min_pts}"
                 );
             }
         }
