@@ -26,11 +26,23 @@
 //! * `BENCH_RATIO_MIN=1.2` — override the minimum of every `--min-ratio`.
 //! * `BENCH_KERNEL_MIN=1.1` — override the minimum of every
 //!   `--kernel-floor`.
+//!
+//! Usage errors exit 2 and runtime failures (unreadable inputs, a
+//! regression) exit 1, each with `compare_bench: error:` lines on stderr;
+//! a closed stdout ends the run quietly.
 
+use parclust_bench::cli::Cli;
 use parclust_bench::gate::{
     baseline_json, compare, metrics_from_baseline, metrics_from_dynamic, metrics_from_kernels,
     metrics_from_loadgen, metrics_from_rows, KernelFloor, Metric, RatioCheck, DEFAULT_TOLERANCE,
 };
+
+const CLI: Cli = Cli("compare_bench");
+
+const USAGE: &str = "usage: compare_bench --baseline FILE [--rows FILE]... \
+                     [--serving LABEL=FILE]... [--kernels FILE] [--dynamic FILE] \
+                     [--min-ratio NUM/DEN=MIN]... [--kernel-floor NAME=MIN]... [--tolerance F] \
+                     [--write-baseline FILE [--note TEXT]]";
 
 struct Opts {
     baseline: std::path::PathBuf,
@@ -49,6 +61,11 @@ struct Opts {
     note: String,
 }
 
+/// A numeric override from the environment; unset or unparseable is `None`.
+fn env_f64(var: &str) -> Option<f64> {
+    std::env::var(var).ok().and_then(|v| v.trim().parse().ok())
+}
+
 fn parse_args() -> Opts {
     let mut opts = Opts {
         baseline: std::path::PathBuf::new(),
@@ -58,97 +75,78 @@ fn parse_args() -> Opts {
         dynamic: None,
         ratios: Vec::new(),
         kernel_floors: Vec::new(),
-        tolerance: std::env::var("BENCH_GATE_TOLERANCE")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(DEFAULT_TOLERANCE),
+        tolerance: env_f64("BENCH_GATE_TOLERANCE").unwrap_or(DEFAULT_TOLERANCE),
         write_baseline: None,
         note: String::new(),
     };
     let mut args = std::env::args().skip(1);
     let mut have_baseline = false;
     while let Some(a) = args.next() {
-        match a.as_str() {
+        let flag = a.as_str();
+        match flag {
             "--baseline" => {
-                opts.baseline = args.next().expect("--baseline FILE").into();
+                opts.baseline = CLI.value(&mut args, flag).into();
                 have_baseline = true;
             }
-            "--rows" => opts.rows.push(args.next().expect("--rows FILE").into()),
+            "--rows" => opts.rows.push(CLI.value(&mut args, flag).into()),
             "--serving" => {
-                let spec = args.next().expect("--serving LABEL=FILE");
-                let (label, file) = spec
-                    .split_once('=')
-                    .expect("--serving takes LABEL=FILE (e.g. t4=serving_t4.json)");
+                let spec = CLI.value(&mut args, flag);
+                let Some((label, file)) = spec.split_once('=') else {
+                    CLI.bad_arg(format_args!(
+                        "--serving takes LABEL=FILE (e.g. t4=serving_t4.json), got {spec:?}"
+                    ))
+                };
                 opts.serving.push((label.to_string(), file.into()));
             }
-            "--kernels" => {
-                opts.kernels = Some(args.next().expect("--kernels FILE").into());
-            }
-            "--dynamic" => {
-                opts.dynamic = Some(args.next().expect("--dynamic FILE").into());
-            }
+            "--kernels" => opts.kernels = Some(CLI.value(&mut args, flag).into()),
+            "--dynamic" => opts.dynamic = Some(CLI.value(&mut args, flag).into()),
             "--kernel-floor" => {
-                let spec = args.next().expect("--kernel-floor NAME=MIN");
-                let mut floor = KernelFloor::parse(&spec).unwrap_or_else(|e| panic!("{e}"));
-                if let Some(min) = std::env::var("BENCH_KERNEL_MIN")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<f64>().ok())
-                {
+                let spec = CLI.value(&mut args, flag);
+                let mut floor = KernelFloor::parse(&spec).unwrap_or_else(|e| CLI.bad_arg(e));
+                if let Some(min) = env_f64("BENCH_KERNEL_MIN") {
                     floor.min = min;
                 }
                 opts.kernel_floors.push(floor);
             }
             "--min-ratio" => {
-                let spec = args.next().expect("--min-ratio NUM/DEN=MIN");
-                let mut check = RatioCheck::parse(&spec).unwrap_or_else(|e| panic!("{e}"));
-                if let Some(min) = std::env::var("BENCH_RATIO_MIN")
-                    .ok()
-                    .and_then(|v| v.trim().parse::<f64>().ok())
-                {
+                let spec = CLI.value(&mut args, flag);
+                let mut check = RatioCheck::parse(&spec).unwrap_or_else(|e| CLI.bad_arg(e));
+                if let Some(min) = env_f64("BENCH_RATIO_MIN") {
                     check.min = min;
                 }
                 opts.ratios.push(check);
             }
-            "--tolerance" => {
-                opts.tolerance = args
-                    .next()
-                    .expect("--tolerance F")
-                    .parse()
-                    .expect("tolerance must be a float")
-            }
+            "--tolerance" => opts.tolerance = CLI.parse(&mut args, flag),
             "--write-baseline" => {
-                opts.write_baseline = Some(args.next().expect("--write-baseline FILE").into());
+                opts.write_baseline = Some(CLI.value(&mut args, flag).into());
             }
-            "--note" => opts.note = args.next().expect("--note TEXT"),
+            "--note" => opts.note = CLI.value(&mut args, flag),
             "--help" | "-h" => {
-                println!(
-                    "usage: compare_bench --baseline FILE [--rows FILE]... \
-                     [--serving LABEL=FILE]... [--kernels FILE] [--dynamic FILE] \
-                     [--min-ratio NUM/DEN=MIN]... [--kernel-floor NAME=MIN]... [--tolerance F] \
-                     [--write-baseline FILE [--note TEXT]]"
-                );
+                CLI.say(USAGE);
                 std::process::exit(0);
             }
-            other => panic!("unknown argument {other:?}"),
+            other => CLI.bad_arg(format_args!("unknown argument {other:?} (see --help)")),
         }
     }
-    assert!(have_baseline, "--baseline is required");
-    assert!(
-        (0.0..1.0).contains(&opts.tolerance),
-        "tolerance must be in [0, 1)"
-    );
+    if !have_baseline {
+        CLI.bad_arg("--baseline is required");
+    }
+    if !(0.0..1.0).contains(&opts.tolerance) {
+        CLI.bad_arg("tolerance must be in [0, 1)");
+    }
     opts
 }
 
 fn load_json(path: &std::path::Path) -> serde_json::Value {
     let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("cannot parse {}: {e}", path.display()))
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot read {}: {e}", path.display())));
+    serde_json::from_str(&text)
+        .unwrap_or_else(|e| CLI.fail(format_args!("cannot parse {}: {e}", path.display())))
 }
 
 fn main() {
     if std::env::var("BENCH_GATE_SKIP").is_ok_and(|v| v == "1") {
-        println!("compare_bench: BENCH_GATE_SKIP=1 — gate skipped");
+        CLI.say("compare_bench: BENCH_GATE_SKIP=1 — gate skipped");
         return;
     }
     let opts = parse_args();
@@ -187,24 +185,26 @@ fn main() {
             kernels_blob.as_ref(),
             dynamic_blob.as_ref(),
         );
-        std::fs::write(path, doc.to_json_string_pretty())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-        println!("compare_bench: wrote baseline candidate {}", path.display());
+        CLI.write_file(path, &doc.to_json_string_pretty());
+        CLI.say(format_args!(
+            "compare_bench: wrote baseline candidate {}",
+            path.display()
+        ));
     }
 
     let outcome = compare(&baseline, &current, opts.tolerance);
-    println!(
+    CLI.say(format_args!(
         "bench gate vs {} (tolerance {:.0}%): {} baseline metrics, {} current, {} shared gated",
         opts.baseline.display(),
         opts.tolerance * 100.0,
         baseline.len(),
         current.len(),
         outcome.shared_gated,
-    );
-    println!(
+    ));
+    CLI.say(format_args!(
         "{:<60} {:>14} {:>14} {:>8}  status",
         "metric", "baseline", "current", "ratio"
-    );
+    ));
     for c in &outcome.comparisons {
         let status = if c.regressed {
             "REGRESSED"
@@ -213,37 +213,35 @@ fn main() {
         } else {
             "ok"
         };
-        println!(
+        CLI.say(format_args!(
             "{:<60} {:>14.3} {:>14.3} {:>7.2}x  {status}",
             c.key, c.baseline, c.current, c.ratio
-        );
+        ));
     }
     if outcome.shared_gated == 0 {
-        eprintln!(
-            "compare_bench: no gated metric is shared between baseline and current \
-             — the gate wiring is broken (wrong files or labels?)"
+        CLI.fail(
+            "no gated metric is shared between baseline and current \
+             — the gate wiring is broken (wrong files or labels?)",
         );
-        std::process::exit(1);
     }
     if outcome.failures > 0 {
-        eprintln!(
-            "compare_bench: {} metric(s) regressed more than {:.0}% below baseline \
+        CLI.fail(format_args!(
+            "{} metric(s) regressed more than {:.0}% below baseline \
              (set BENCH_GATE_TOLERANCE to widen, BENCH_GATE_SKIP=1 to bypass)",
             outcome.failures,
             opts.tolerance * 100.0
-        );
-        std::process::exit(1);
+        ));
     }
     let mut ratio_failures = 0;
     for check in &opts.ratios {
         match check.evaluate(&current) {
-            Ok(ratio) => println!(
+            Ok(ratio) => CLI.say(format_args!(
                 "ratio {}/{}: {ratio:.2}x (minimum {:.2}x)  ok",
                 check.numerator, check.denominator, check.min
-            ),
+            )),
             Err(msg) => {
                 eprintln!(
-                    "compare_bench: ratio check failed: {msg} \
+                    "compare_bench: error: ratio check failed: {msg} \
                      (set BENCH_RATIO_MIN to lower, BENCH_GATE_SKIP=1 to bypass)"
                 );
                 ratio_failures += 1;
@@ -256,13 +254,13 @@ fn main() {
     let mut floor_failures = 0;
     for floor in &opts.kernel_floors {
         match floor.evaluate(&current) {
-            Ok(speedup) => println!(
+            Ok(speedup) => CLI.say(format_args!(
                 "kernel floor {}: {speedup:.2}x vs scalar (floor {:.2}x)  ok",
                 floor.kernel, floor.min
-            ),
+            )),
             Err(msg) => {
                 eprintln!(
-                    "compare_bench: kernel floor failed: {msg} \
+                    "compare_bench: error: kernel floor failed: {msg} \
                      (set BENCH_KERNEL_MIN to lower, BENCH_GATE_SKIP=1 to bypass)"
                 );
                 floor_failures += 1;
@@ -272,5 +270,5 @@ fn main() {
     if floor_failures > 0 {
         std::process::exit(1);
     }
-    println!("compare_bench: gate passed");
+    CLI.say("compare_bench: gate passed");
 }

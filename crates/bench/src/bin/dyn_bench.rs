@@ -18,12 +18,14 @@
 //! `dyn_bench: error:` line on stderr; a closed stdout (`dyn_bench … |
 //! head`) ends the run quietly.
 
+use parclust_bench::cli::Cli;
 use parclust_bench::gate::metrics_from_dynamic;
 use parclust_dyn::{DynConfig, DynamicModel, MutationBatch, MutationPath};
 use parclust_geom::Point;
 use rand::prelude::*;
-use std::io::Write;
 use std::time::Instant;
+
+const CLI: Cli = Cli("dyn_bench");
 
 const USAGE: &str = "usage: dyn_bench [--n N] [--batches N] [--batch-size N] [--min-pts N] \
                      [--min-cluster-size N] [--threads N] [--seed N] [--out FILE]";
@@ -39,28 +41,6 @@ struct Opts {
     out: Option<std::path::PathBuf>,
 }
 
-/// Runtime failure: one diagnostic line, exit 1.
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("dyn_bench: error: {msg}");
-    std::process::exit(1);
-}
-
-/// A command line we could not make sense of: one diagnostic line, exit 2.
-fn bad_arg(msg: impl std::fmt::Display) -> ! {
-    eprintln!("dyn_bench: error: {msg}");
-    std::process::exit(2);
-}
-
-/// Print a line to stdout; a reader that hung up ends the run quietly.
-fn say(text: &str) {
-    if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
-        if e.kind() == std::io::ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        fail(format_args!("stdout: {e}"));
-    }
-}
-
 fn parse_args() -> Opts {
     let mut opts = Opts {
         n: 4000,
@@ -74,42 +54,34 @@ fn parse_args() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut value = |flag: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| bad_arg(format_args!("{flag} needs a value")))
-        };
-        let mut count = |flag: &str| -> usize {
-            let raw = value(flag);
-            raw.parse()
-                .unwrap_or_else(|_| bad_arg(format_args!("invalid value {raw:?} for {flag}")))
-        };
-        match a.as_str() {
-            "--n" => opts.n = count("--n"),
-            "--batches" => opts.batches = count("--batches"),
-            "--batch-size" => opts.batch_size = count("--batch-size"),
-            "--min-pts" => opts.min_pts = count("--min-pts"),
-            "--min-cluster-size" => opts.min_cluster_size = count("--min-cluster-size"),
-            "--threads" => opts.threads = count("--threads"),
-            "--seed" => opts.seed = count("--seed") as u64,
-            "--out" => opts.out = Some(value("--out").into()),
+        let flag = a.as_str();
+        match flag {
+            "--n" => opts.n = CLI.parse(&mut args, flag),
+            "--batches" => opts.batches = CLI.parse(&mut args, flag),
+            "--batch-size" => opts.batch_size = CLI.parse(&mut args, flag),
+            "--min-pts" => opts.min_pts = CLI.parse(&mut args, flag),
+            "--min-cluster-size" => opts.min_cluster_size = CLI.parse(&mut args, flag),
+            "--threads" => opts.threads = CLI.parse(&mut args, flag),
+            "--seed" => opts.seed = CLI.parse(&mut args, flag),
+            "--out" => opts.out = Some(CLI.value(&mut args, flag).into()),
             "--help" | "-h" => {
-                say(USAGE);
+                CLI.say(USAGE);
                 std::process::exit(0);
             }
-            other => bad_arg(format_args!("unknown argument {other:?} (see --help)")),
+            other => CLI.bad_arg(format_args!("unknown argument {other:?} (see --help)")),
         }
     }
     if opts.min_pts == 0 {
-        bad_arg("--min-pts must be at least 1");
+        CLI.bad_arg("--min-pts must be at least 1");
     }
     if opts.min_cluster_size < 2 {
-        bad_arg("--min-cluster-size must be at least 2");
+        CLI.bad_arg("--min-cluster-size must be at least 2");
     }
     if opts.n < opts.min_pts.max(2) {
-        bad_arg("--n too small to cluster");
+        CLI.bad_arg("--n too small to cluster");
     }
     if opts.batch_size == 0 {
-        bad_arg("--batch-size must be at least 1");
+        CLI.bad_arg("--batch-size must be at least 1");
     }
     opts
 }
@@ -148,7 +120,7 @@ fn run(opts: &Opts) -> serde_json::Value {
             .map(|batch| {
                 model
                     .apply(batch)
-                    .unwrap_or_else(|e| fail(format_args!("apply: {e}")))
+                    .unwrap_or_else(|e| CLI.fail(format_args!("apply: {e}")))
             })
             .collect()
     };
@@ -157,7 +129,7 @@ fn run(opts: &Opts) -> serde_json::Value {
         rayon::ThreadPoolBuilder::new()
             .num_threads(opts.threads)
             .build()
-            .unwrap_or_else(|e| fail(format_args!("thread pool: {e:?}")))
+            .unwrap_or_else(|e| CLI.fail(format_args!("thread pool: {e:?}")))
             .install(|| apply_all(&mut model))
     } else {
         apply_all(&mut model)
@@ -190,7 +162,7 @@ fn main() {
             .and_then(serde_json::Value::as_f64)
             .unwrap_or(0.0)
     };
-    say(&format!(
+    CLI.say(format_args!(
         "dyn_bench: {} batches of {} inserts over n={} in {:.3}s \
          ({:.0} pts/s; {} merge / {} rebuild)",
         opts.batches,
@@ -207,19 +179,14 @@ fn main() {
         .iter()
         .any(|m| m.gated && m.key == "dynamic/insert_pts_per_s")
     {
-        fail("output no longer yields the gated throughput metric");
+        CLI.fail("output no longer yields the gated throughput metric");
     }
     let text = doc.to_json_string_pretty();
     match opts.out {
         Some(path) => {
-            if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(format_args!("create {}: {e}", dir.display())));
-            }
-            std::fs::write(&path, text)
-                .unwrap_or_else(|e| fail(format_args!("write {}: {e}", path.display())));
-            say(&format!("dyn_bench: wrote {}", path.display()));
+            CLI.write_file(&path, &text);
+            CLI.say(format_args!("dyn_bench: wrote {}", path.display()));
         }
-        None => say(&text),
+        None => CLI.say(text),
     }
 }

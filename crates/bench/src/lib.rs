@@ -7,6 +7,7 @@
 //! generators standing in for the non-redistributable real data sets
 //! (DESIGN.md, substitution 2).
 
+pub mod cli;
 pub mod gate;
 pub mod kernels;
 pub mod memory;

@@ -19,27 +19,29 @@
 use parclust_geom::{dist_sq, Point};
 use parclust_kdtree::{KdTree, NodeId};
 use parclust_mst::Edge;
+use parclust_obs::phase;
 use parclust_primitives::atomic::AtomicMinPair;
 use parclust_primitives::unionfind::UnionFind;
 use rayon::prelude::*;
 
 use crate::drivers::{component_annotation, MIXED};
-use crate::stats::Stats;
+use crate::stats::Recorder;
 
 /// MST in position space via geometric Boruvka.
-pub(crate) fn geo_boruvka_mst<const D: usize>(tree: &KdTree<D>, stats: &mut Stats) -> Vec<Edge> {
+pub(crate) fn geo_boruvka_mst<const D: usize>(tree: &KdTree<D>, rec: &Recorder) -> Vec<Edge> {
     let n = tree.len();
     let mut uf = UnionFind::new(n);
     let mut out: Vec<Edge> = Vec::with_capacity(n - 1);
 
     while out.len() + 1 < n {
-        stats.rounds += 1;
-        let comp = Stats::time(&mut stats.wspd, || component_annotation(tree, &uf));
+        rec.round();
+        let comp = component_annotation(tree, &uf, rec);
 
         // Lightest outgoing edge candidate per component root.
         let cands: Vec<AtomicMinPair<(u32, u32)>> =
             (0..n).map(|_| AtomicMinPair::default()).collect();
-        Stats::time(&mut stats.wspd, || {
+        {
+            let _phase = phase!(&rec.wspd, "boruvka.nearest");
             (0..n as u32).into_par_iter().for_each(|p| {
                 let me = uf.find_shared(p);
                 let q = tree.point(p as usize);
@@ -49,19 +51,18 @@ pub(crate) fn geo_boruvka_mst<const D: usize>(tree: &KdTree<D>, stats: &mut Stat
                     cands[me as usize].write_min(best.0, (p, best.1));
                 }
             });
-        });
+        }
 
         let mut progressed = false;
-        Stats::time(&mut stats.kruskal, || {
-            for cand in &cands {
-                if let Some((d_sq, (u, v))) = cand.get() {
-                    if uf.union(u, v) {
-                        out.push(Edge::new(u, v, d_sq.sqrt()));
-                        progressed = true;
-                    }
+        let _phase = phase!(&rec.kruskal, "boruvka.union");
+        for cand in &cands {
+            if let Some((d_sq, (u, v))) = cand.get() {
+                if uf.union(u, v) {
+                    out.push(Edge::new(u, v, d_sq.sqrt()));
+                    progressed = true;
                 }
             }
-        });
+        }
         if !progressed {
             break; // disconnected input cannot happen for point sets; guard anyway
         }
@@ -129,8 +130,7 @@ mod tests {
             .map(|_| Point([rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)]))
             .collect();
         let tree = KdTree::build(&pts);
-        let mut stats = Stats::default();
-        let edges = geo_boruvka_mst(&tree, &mut stats);
+        let (edges, stats) = Recorder::run(|rec| geo_boruvka_mst(&tree, rec));
         assert_eq!(edges.len(), 999);
         assert!(
             stats.rounds <= 14,
@@ -151,8 +151,7 @@ mod tests {
             Point([1.0, 0.0]),
         ];
         let tree = KdTree::build(&pts);
-        let mut stats = Stats::default();
-        let edges = geo_boruvka_mst(&tree, &mut stats);
+        let (edges, _) = Recorder::run(|rec| geo_boruvka_mst(&tree, rec));
         assert_eq!(edges.len(), 3);
         let total: f64 = edges.iter().map(|e| e.w).sum();
         assert!((total - 1.0).abs() < 1e-12);

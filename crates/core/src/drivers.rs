@@ -19,8 +19,10 @@
 //! All drivers work in *permuted position space* (the kd-tree's point
 //! order); callers map endpoints back through `tree.idx`.
 
+use parclust_geom::Point;
 use parclust_kdtree::{KdTree, NodeId};
 use parclust_mst::{kruskal_batch, Edge, StreamingForest};
+use parclust_obs::phase;
 use parclust_primitives::atomic::AtomicF64Min;
 use parclust_primitives::collector::Collector;
 use parclust_primitives::conmap::ShardedMap;
@@ -30,8 +32,9 @@ use parclust_wspd::{
     bccp, wspd_materialize, wspd_stream_batches, wspd_traverse, Bccp, NodePair, SeparationPolicy,
 };
 use rayon::prelude::*;
+use std::mem::size_of;
 
-use crate::stats::{Counters, Stats};
+use crate::stats::Recorder;
 
 /// Component annotation value for "points of this node span multiple
 /// components".
@@ -62,10 +65,22 @@ impl BetaSchedule {
     }
 }
 
+/// Build the kd-tree of an entry point, timed as `build_tree`.
+pub(crate) fn build_tree<const D: usize>(points: &[Point<D>], rec: &Recorder) -> KdTree<D> {
+    let _phase = phase!(&rec.build_tree, "pipeline.build_tree");
+    KdTree::build(points)
+}
+
 /// Per-node component ids: `comp[v] = r` if every point in node `v` is in
 /// union-find component `r`, [`MIXED`] otherwise. Recomputed between Kruskal
-/// batches; reads use the concurrent-safe compression-free find.
-pub(crate) fn component_annotation<const D: usize>(tree: &KdTree<D>, uf: &UnionFind) -> Vec<u32> {
+/// batches; reads use the concurrent-safe compression-free find. Timed as
+/// `wspd`, so callers must not hold a `wspd` guard around it.
+pub(crate) fn component_annotation<const D: usize>(
+    tree: &KdTree<D>,
+    uf: &UnionFind,
+    rec: &Recorder,
+) -> Vec<u32> {
+    let _phase = phase!(&rec.wspd, "wspd.annotate");
     #[derive(Clone, Copy)]
     struct Comp(u32);
     impl Default for Comp {
@@ -112,43 +127,41 @@ fn pack_pair(a: NodeId, b: NodeId) -> u64 {
 pub(crate) fn wspd_mst_naive<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
-    stats: &mut Stats,
+    rec: &Recorder,
 ) -> Vec<Edge> {
     let n = tree.len();
     if n <= 1 {
         return Vec::new();
     }
-    let counters = Counters::default();
-    let pairs = Stats::time(&mut stats.wspd, || wspd_materialize(tree, policy));
-    counters.pairs(pairs.len() as u64);
-    stats.peak_live_pairs = pairs.len() as u64;
+    rec.round();
+    let pairs = {
+        let _phase = phase!(&rec.wspd, "wspd.materialize", points = n);
+        wspd_materialize(tree, policy)
+    };
+    rec.pairs(pairs.len());
+    // Every pair and its candidate edge are live at once.
+    rec.live(pairs.len(), size_of::<NodePair>() + size_of::<Edge>());
 
     // BCCP of every pair forms the candidate edge set (attributed to the
     // wspd phase, as in the paper's decomposition: "kruskal" is the MST
     // stage only).
-    let mut edges: Vec<Edge> = Stats::time(&mut stats.wspd, || {
-        let _span = parclust_obs::span!("bccp.batch", pairs = pairs.len());
+    let mut edges: Vec<Edge> = {
+        let _phase = phase!(&rec.wspd, "bccp.batch", pairs = pairs.len());
         pairs
             .par_iter()
             .map(|&(a, b)| {
-                counters.bccp();
+                rec.bccp();
                 let r = bccp(tree, policy, a, b);
                 Edge::new(r.u, r.v, r.w)
             })
             .collect()
-    });
-    stats.peak_pair_bytes = (pairs.len() * std::mem::size_of::<(NodeId, NodeId)>()
-        + edges.len() * std::mem::size_of::<Edge>()) as u64;
+    };
     drop(pairs);
 
     let mut uf = UnionFind::new(n);
     let mut out = Vec::with_capacity(n - 1);
-    Stats::time(&mut stats.kruskal, || {
-        let _span = parclust_obs::span!("mst.kruskal", edges = edges.len());
-        kruskal_batch(&mut edges, &mut uf, &mut out)
-    });
-    stats.rounds = 1;
-    counters.fold_into(stats);
+    let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = edges.len());
+    kruskal_batch(&mut edges, &mut uf, &mut out);
     out
 }
 
@@ -170,16 +183,16 @@ struct GfkPair {
 pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
-    stats: &mut Stats,
+    rec: &Recorder,
 ) -> Vec<Edge> {
     let n = tree.len();
     if n <= 1 {
         return Vec::new();
     }
-    let counters = Counters::default();
 
     // Materialize the WSPD once (the memory cost MemoGFK removes).
-    let mut pairs: Vec<GfkPair> = Stats::time(&mut stats.wspd, || {
+    let mut pairs: Vec<GfkPair> = {
+        let _phase = phase!(&rec.wspd, "wspd.materialize", points = n);
         wspd_materialize(tree, policy)
             .into_par_iter()
             .map(|(a, b)| GfkPair {
@@ -192,18 +205,18 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
                 has_bccp: false,
             })
             .collect()
-    });
-    counters.pairs(pairs.len() as u64);
-    stats.peak_live_pairs = pairs.len() as u64;
-    stats.peak_pair_bytes = (pairs.len() * std::mem::size_of::<GfkPair>()) as u64;
+    };
+    rec.pairs(pairs.len());
+    rec.live(pairs.len(), size_of::<GfkPair>());
 
     let mut uf = UnionFind::new(n);
     let mut out: Vec<Edge> = Vec::with_capacity(n - 1);
     let mut beta: usize = 2;
 
     while out.len() + 1 < n && !pairs.is_empty() {
-        stats.rounds += 1;
-        let round = Stats::time(&mut stats.wspd, || {
+        rec.round();
+        let (mut batch, rest) = {
+            let _phase = phase!(&rec.wspd, "wspd.gfk_round", beta = beta);
             // Line 4: split by cardinality.
             let (arr, n_small) = split(&pairs, |p| (p.card as usize) <= beta);
             let (s_l, s_u) = arr.split_at(n_small);
@@ -216,10 +229,9 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
 
             // Line 6: BCCP the small pairs (cached across rounds).
             let mut s_l: Vec<GfkPair> = s_l.to_vec();
-            let _span = parclust_obs::span!("bccp.batch", pairs = s_l.len());
             s_l.par_iter_mut().for_each(|p| {
                 if !p.has_bccp {
-                    counters.bccp();
+                    rec.bccp();
                     let r = bccp(tree, policy, p.a, p.b);
                     p.u = r.u;
                     p.v = r.v;
@@ -237,25 +249,24 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
             rest.extend_from_slice(&s_l[n_l1..]);
             rest.extend_from_slice(s_u);
             (batch, rest)
-        });
-        let (mut batch, rest) = round;
+        };
 
         // Lines 7–8: Kruskal on the round's edges.
-        Stats::time(&mut stats.kruskal, || {
-            let _span = parclust_obs::span!("mst.kruskal", edges = batch.len());
-            kruskal_batch(&mut batch, &mut uf, &mut out)
-        });
+        {
+            let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = batch.len());
+            kruskal_batch(&mut batch, &mut uf, &mut out);
+        }
 
         // Line 9: drop pairs already connected in the union-find.
-        pairs = Stats::time(&mut stats.wspd, || {
-            let comp = component_annotation(tree, &uf);
+        let comp = component_annotation(tree, &uf, rec);
+        pairs = {
+            let _phase = phase!(&rec.wspd, "wspd.filter", pairs = rest.len());
             pack(&rest, |p| !same_component(&comp, p.a, p.b))
-        });
+        };
 
         // Line 10: exponential β growth keeps the round count logarithmic.
         beta = beta.saturating_mul(2);
     }
-    counters.fold_into(stats);
     out
 }
 
@@ -263,23 +274,22 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
 pub(crate) fn wspd_mst_memogfk<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
-    stats: &mut Stats,
+    rec: &Recorder,
 ) -> Vec<Edge> {
-    wspd_mst_memogfk_sched(tree, policy, stats, BetaSchedule::Double)
+    wspd_mst_memogfk_sched(tree, policy, rec, BetaSchedule::Double)
 }
 
 /// Parallel MemoGFK with an explicit [`BetaSchedule`] (ablation hook).
 pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
-    stats: &mut Stats,
+    rec: &Recorder,
     schedule: BetaSchedule,
 ) -> Vec<Edge> {
     let n = tree.len();
     if n <= 1 {
         return Vec::new();
     }
-    let counters = Counters::default();
     // Cross-round BCCP memoization (§3.1.2: "we cache the BCCP results of
     // pairs to avoid repeated computations"). Keys pack the node pair;
     // values pack the BCCP endpoints — the weight is recomputed from the
@@ -293,17 +303,16 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     let mut out: Vec<Edge> = Vec::with_capacity(n - 1);
     let mut beta: usize = 2;
     let mut rho_lo: f64 = 0.0;
-    let mut peak_live: usize = 0;
 
     while out.len() + 1 < n {
-        stats.rounds += 1;
-        let comp = Stats::time(&mut stats.wspd, || component_annotation(tree, &uf));
+        rec.round();
+        let comp = component_annotation(tree, &uf, rec);
 
         // GetRho (Algorithm 3, line 4): lower-bound the lightest edge any
         // still-relevant pair of cardinality > β can produce.
         let rho = AtomicF64Min::default();
-        Stats::time(&mut stats.wspd, || {
-            let _span = parclust_obs::span!("wspd.get_rho", beta = beta);
+        {
+            let _phase = phase!(&rec.wspd, "wspd.get_rho", beta = beta);
             wspd_traverse(
                 tree,
                 policy,
@@ -316,13 +325,13 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                     rho.write_min(policy.lower_bound(tree, a, b));
                 },
             );
-        });
+        }
         let rho_hi = rho.load();
 
         // GetPairs (line 5): retrieve pairs whose BCCP lies in [ρ_lo, ρ_hi).
         let edges_c: Collector<Edge> = Collector::new();
-        Stats::time(&mut stats.wspd, || {
-            let _span = parclust_obs::span!("wspd.get_pairs", beta = beta);
+        {
+            let _phase = phase!(&rec.wspd, "wspd.get_pairs", beta = beta);
             wspd_traverse(
                 tree,
                 policy,
@@ -344,7 +353,7 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                             }
                         }
                         None => {
-                            counters.bccp();
+                            rec.bccp();
                             let r = bccp(tree, policy, a, b);
                             cache.insert(key, ((r.u as u64) << 32) | r.v as u64);
                             r
@@ -355,15 +364,15 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                     }
                 },
             );
-        });
+        }
         let mut batch = edges_c.into_vec();
-        counters.pairs(batch.len() as u64);
-        peak_live = peak_live.max(batch.len());
+        rec.pairs(batch.len());
+        rec.live(batch.len(), size_of::<Edge>());
 
-        Stats::time(&mut stats.kruskal, || {
-            let _span = parclust_obs::span!("mst.kruskal", edges = batch.len());
-            kruskal_batch(&mut batch, &mut uf, &mut out)
-        });
+        {
+            let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = batch.len());
+            kruskal_batch(&mut batch, &mut uf, &mut out);
+        }
 
         if rho_hi.is_infinite() {
             // No unconnected pair had cardinality > β: this round already
@@ -373,9 +382,6 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
         beta = schedule.next(beta);
         rho_lo = rho_hi;
     }
-    stats.peak_live_pairs = peak_live as u64;
-    stats.peak_pair_bytes = (peak_live * std::mem::size_of::<Edge>()) as u64;
-    counters.fold_into(stats);
     out
 }
 
@@ -395,7 +401,7 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
 pub(crate) fn wspd_mst_streaming<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
-    stats: &mut Stats,
+    rec: &Recorder,
     batch_pairs: usize,
 ) -> Vec<Edge> {
     let n = tree.len();
@@ -403,20 +409,20 @@ pub(crate) fn wspd_mst_streaming<const D: usize, P: SeparationPolicy<D>>(
         return Vec::new();
     }
     let cap = batch_pairs.max(1);
-    let counters = Counters::default();
     let mut forest = StreamingForest::new(n);
-    let mut peak = 0usize;
     wspd_stream_batches(tree, policy, cap, &mut |pairs: &mut Vec<NodePair>| {
-        stats.rounds += 1;
+        rec.round();
         let _batch_span = parclust_obs::span!("wspd.batch", pairs = pairs.len());
-        peak = peak.max(pairs.len());
-        counters.pairs(pairs.len() as u64);
+        rec.pairs(pairs.len());
+        // A batch's pairs, their candidate slots and its edges.
+        let bytes_each = size_of::<NodePair>() + size_of::<Option<Edge>>() + size_of::<Edge>();
+        rec.live(pairs.len(), bytes_each);
         // Per-node component annotation against the *current* forest; the
         // prune below only ever skips edges that provably cannot enter
         // the MST, so the result is independent of batching.
-        let batch: Vec<Edge> = Stats::time(&mut stats.wspd, || {
-            let _span = parclust_obs::span!("bccp.batch", pairs = pairs.len());
-            let comp = component_annotation(tree, forest.uf());
+        let comp = component_annotation(tree, forest.uf(), rec);
+        let batch: Vec<Edge> = {
+            let _phase = phase!(&rec.wspd, "bccp.batch", pairs = pairs.len());
             let fref = &forest;
             let candidates: Vec<Option<Edge>> = pairs
                 .par_iter()
@@ -428,21 +434,16 @@ pub(crate) fn wspd_mst_streaming<const D: usize, P: SeparationPolicy<D>>(
                     {
                         return None;
                     }
-                    counters.bccp();
+                    rec.bccp();
                     let r = bccp(tree, policy, a, b);
                     Some(Edge::new(r.u, r.v, r.w))
                 })
                 .collect();
             candidates.into_iter().flatten().collect()
-        });
-        Stats::time(&mut stats.kruskal, || forest.absorb(batch));
+        };
+        let _phase = phase!(&rec.kruskal, "mst.absorb", edges = batch.len());
+        forest.absorb(batch);
     });
-    stats.peak_live_pairs = peak as u64;
-    stats.peak_pair_bytes = (peak
-        * (std::mem::size_of::<NodePair>()
-            + std::mem::size_of::<Option<Edge>>()
-            + std::mem::size_of::<Edge>())) as u64;
-    counters.fold_into(stats);
     forest.into_edges()
 }
 

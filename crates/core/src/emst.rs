@@ -20,8 +20,11 @@ use parclust_kdtree::KdTree;
 use parclust_mst::{total_weight, Edge};
 use parclust_wspd::GeometricSep;
 
-use crate::drivers::{edges_to_original, wspd_mst_gfk, wspd_mst_memogfk, wspd_mst_naive};
-use crate::stats::Stats;
+use crate::drivers::{
+    build_tree, edges_to_original, wspd_mst_gfk, wspd_mst_memogfk, wspd_mst_memogfk_sched,
+    wspd_mst_naive, wspd_mst_streaming, BetaSchedule,
+};
+use crate::stats::{Recorder, Stats};
 
 /// An Euclidean minimum spanning tree (or forest for `n < 2`).
 #[derive(Debug, Clone)]
@@ -35,14 +38,8 @@ pub struct Emst {
 }
 
 impl Emst {
-    fn from_position_edges<const D: usize>(
-        tree: &KdTree<D>,
-        edges: Vec<Edge>,
-        mut stats: Stats,
-        t0: std::time::Instant,
-    ) -> Self {
-        let edges = edges_to_original(tree, edges);
-        stats.total = t0.elapsed().as_secs_f64();
+    fn recorded(run: impl FnOnce(&Recorder) -> Vec<Edge>) -> Emst {
+        let (edges, stats) = Recorder::run(run);
         Emst {
             total_weight: total_weight(&edges),
             edges,
@@ -51,47 +48,40 @@ impl Emst {
     }
 }
 
-macro_rules! emst_driver {
-    ($(#[$doc:meta])* $name:ident, $driver:path) => {
-        $(#[$doc])*
-        pub fn $name<const D: usize>(points: &[Point<D>]) -> Emst {
-            let t0 = std::time::Instant::now();
-            let mut stats = Stats::default();
-            if points.len() < 2 {
-                stats.total = t0.elapsed().as_secs_f64();
-                return Emst {
-                    edges: Vec::new(),
-                    total_weight: 0.0,
-                    stats,
-                };
-            }
-            let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-            let policy = GeometricSep::PAPER_DEFAULT;
-            let edges = $driver(&tree, &policy, &mut stats);
-            Emst::from_position_edges(&tree, edges, stats, t0)
+/// The frame of the kd-tree EMST drivers: no edges below two points, else
+/// the timed tree build, then `mst` in position space, mapped back.
+fn emst_on_tree<const D: usize>(
+    points: &[Point<D>],
+    mst: impl FnOnce(&KdTree<D>, &Recorder) -> Vec<Edge>,
+) -> Emst {
+    Emst::recorded(|rec| {
+        if points.len() < 2 {
+            return Vec::new();
         }
-    };
+        let tree = build_tree(points, rec);
+        let edges = mst(&tree, rec);
+        edges_to_original(&tree, edges)
+    })
 }
 
-emst_driver!(
-    /// EMST via the naive WSPD pipeline (§5's EMST-Naive): materialize all
-    /// well-separated pairs, compute every BCCP, then run Kruskal once.
-    emst_naive,
-    wspd_mst_naive
-);
+const SEP: GeometricSep = GeometricSep::PAPER_DEFAULT;
 
-emst_driver!(
-    /// EMST via parallel GeoFilterKruskal (Algorithm 2).
-    emst_gfk,
-    wspd_mst_gfk
-);
+/// EMST via the naive WSPD pipeline (§5's EMST-Naive): materialize all
+/// well-separated pairs, compute every BCCP, then run Kruskal once.
+pub fn emst_naive<const D: usize>(points: &[Point<D>]) -> Emst {
+    emst_on_tree(points, |tree, rec| wspd_mst_naive(tree, &SEP, rec))
+}
 
-emst_driver!(
-    /// EMST via memory-optimized GeoFilterKruskal (Algorithm 3) — the
-    /// paper's recommended method.
-    emst_memogfk,
-    wspd_mst_memogfk
-);
+/// EMST via parallel GeoFilterKruskal (Algorithm 2).
+pub fn emst_gfk<const D: usize>(points: &[Point<D>]) -> Emst {
+    emst_on_tree(points, |tree, rec| wspd_mst_gfk(tree, &SEP, rec))
+}
+
+/// EMST via memory-optimized GeoFilterKruskal (Algorithm 3) — the
+/// paper's recommended method.
+pub fn emst_memogfk<const D: usize>(points: &[Point<D>]) -> Emst {
+    emst_on_tree(points, |tree, rec| wspd_mst_memogfk(tree, &SEP, rec))
+}
 
 /// Compute the Euclidean minimum spanning tree. Alias for [`emst_memogfk`],
 /// the method the paper's evaluation found fastest across all data sets and
@@ -105,22 +95,11 @@ pub fn emst<const D: usize>(points: &[Point<D>]) -> Emst {
 /// keeps the round count logarithmic.
 pub fn emst_memogfk_with_schedule<const D: usize>(
     points: &[Point<D>],
-    schedule: crate::drivers::BetaSchedule,
+    schedule: BetaSchedule,
 ) -> Emst {
-    let t0 = std::time::Instant::now();
-    let mut stats = Stats::default();
-    if points.len() < 2 {
-        stats.total = t0.elapsed().as_secs_f64();
-        return Emst {
-            edges: Vec::new(),
-            total_weight: 0.0,
-            stats,
-        };
-    }
-    let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-    let policy = GeometricSep::PAPER_DEFAULT;
-    let edges = crate::drivers::wspd_mst_memogfk_sched(&tree, &policy, &mut stats, schedule);
-    Emst::from_position_edges(&tree, edges, stats, t0)
+    emst_on_tree(points, |tree, rec| {
+        wspd_mst_memogfk_sched(tree, &SEP, rec, schedule)
+    })
 }
 
 /// EMST via the bounded-memory streaming pipeline: well-separated pairs
@@ -131,35 +110,19 @@ pub fn emst_memogfk_with_schedule<const D: usize>(
 /// sparsification under the strict `(w, u, v)` edge order); the contract is
 /// pinned by `tests/streaming_semantics.rs`.
 pub fn emst_streaming<const D: usize>(points: &[Point<D>], max_batch_pairs: usize) -> Emst {
-    let t0 = std::time::Instant::now();
-    let mut stats = Stats::default();
-    if points.len() < 2 {
-        stats.total = t0.elapsed().as_secs_f64();
-        return Emst {
-            edges: Vec::new(),
-            total_weight: 0.0,
-            stats,
-        };
-    }
-    let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-    let policy = GeometricSep::PAPER_DEFAULT;
-    let edges = crate::drivers::wspd_mst_streaming(&tree, &policy, &mut stats, max_batch_pairs);
-    Emst::from_position_edges(&tree, edges, stats, t0)
+    emst_on_tree(points, |tree, rec| {
+        wspd_mst_streaming(tree, &SEP, rec, max_batch_pairs)
+    })
 }
 
 /// EMST via Delaunay triangulation (Appendix A.1) — the 2D-only
 /// EMST-Delaunay baseline of §5: the EMST is a subgraph of the Delaunay
 /// triangulation, so an MST over its `O(n)` edges suffices.
 pub fn emst_delaunay(points: &[Point<2>]) -> Emst {
-    let t0 = std::time::Instant::now();
-    let mut stats = Stats::default();
-    let edges = Stats::time(&mut stats.wspd, || parclust_delaunay::emst2d(points));
-    stats.total = t0.elapsed().as_secs_f64();
-    Emst {
-        total_weight: parclust_mst::total_weight(&edges),
-        edges,
-        stats,
-    }
+    Emst::recorded(|rec| {
+        let _phase = parclust_obs::phase!(&rec.wspd, "delaunay.emst2d", points = points.len());
+        parclust_delaunay::emst2d(points)
+    })
 }
 
 /// EMST via kd-tree Boruvka with component pruning — our reimplementation
@@ -167,19 +130,7 @@ pub fn emst_delaunay(points: &[Point<2>]) -> Emst {
 /// al. [43], the `mlpack` comparator of Table 3; see DESIGN.md,
 /// substitution 3).
 pub fn emst_boruvka<const D: usize>(points: &[Point<D>]) -> Emst {
-    let t0 = std::time::Instant::now();
-    let mut stats = Stats::default();
-    if points.len() < 2 {
-        stats.total = t0.elapsed().as_secs_f64();
-        return Emst {
-            edges: Vec::new(),
-            total_weight: 0.0,
-            stats,
-        };
-    }
-    let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-    let edges = crate::boruvka::geo_boruvka_mst(&tree, &mut stats);
-    Emst::from_position_edges(&tree, edges, stats, t0)
+    emst_on_tree(points, crate::boruvka::geo_boruvka_mst)
 }
 
 #[cfg(test)]

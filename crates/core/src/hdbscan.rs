@@ -22,11 +22,12 @@
 use parclust_geom::Point;
 use parclust_kdtree::KdTree;
 use parclust_mst::{total_weight, Edge};
+use parclust_obs::phase;
 use parclust_wspd::policy::core_distance_annotations;
 use parclust_wspd::{MutualReachSep, SepMode};
 
-use crate::drivers::{edges_to_original, wspd_mst_memogfk, wspd_mst_streaming};
-use crate::stats::Stats;
+use crate::drivers::{build_tree, edges_to_original, wspd_mst_memogfk, wspd_mst_streaming};
+use crate::stats::{Recorder, Stats};
 
 /// Which MST engine a HDBSCAN\* driver runs on top of the chosen
 /// separation policy.
@@ -73,6 +74,41 @@ pub fn core_distances_on_tree<const D: usize>(tree: &KdTree<D>, min_pts: usize) 
     (0..tree.len()).map(|i| knn.kth_dist(i)).collect()
 }
 
+/// The frame of the HDBSCAN\* drivers and [`crate::optics_approx`]: no
+/// edges below two points, else the timed tree build and core distances
+/// (unless precomputed), then `mst` in position space, mapped back.
+pub(crate) fn hdbscan_frame<const D: usize>(
+    points: &[Point<D>],
+    min_pts: usize,
+    precomputed_cd: Option<&[f64]>,
+    mst: impl FnOnce(&KdTree<D>, &[f64], &Recorder) -> Vec<Edge>,
+) -> HdbscanMst {
+    assert!(min_pts >= 1, "minPts must be at least 1");
+    let ((edges, cd_orig), stats) = Recorder::run(|rec| {
+        if points.len() < 2 {
+            // A lone point's core distance is its distance to itself.
+            return (Vec::new(), vec![0.0; points.len()]);
+        }
+        let tree = build_tree(points, rec);
+        let cd_orig = match precomputed_cd {
+            Some(cd) => cd.to_vec(),
+            None => {
+                let _phase = phase!(&rec.core_dist, "core_dist.knn", k = min_pts);
+                core_distances_on_tree(&tree, min_pts)
+            }
+        };
+        let edges = mst(&tree, &cd_orig, rec);
+        (edges_to_original(&tree, edges), cd_orig)
+    });
+    HdbscanMst {
+        min_pts,
+        total_weight: total_weight(&edges),
+        edges,
+        core_distances: cd_orig,
+        stats,
+    }
+}
+
 fn hdbscan_driver<const D: usize>(
     points: &[Point<D>],
     min_pts: usize,
@@ -80,39 +116,21 @@ fn hdbscan_driver<const D: usize>(
     engine: MstEngine,
     precomputed_cd: Option<&[f64]>,
 ) -> HdbscanMst {
-    assert!(min_pts >= 1, "minPts must be at least 1");
-    let t0 = std::time::Instant::now();
-    let mut stats = Stats::default();
-    if points.is_empty() {
-        return HdbscanMst {
-            min_pts,
-            edges: Vec::new(),
-            core_distances: Vec::new(),
-            total_weight: 0.0,
-            stats,
-        };
-    }
-    let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-    let cd_orig = match precomputed_cd {
-        Some(cd) => cd.to_vec(),
-        None => Stats::time(&mut stats.core_dist, || {
-            core_distances_on_tree(&tree, min_pts)
-        }),
-    };
-    mst_on_tree(&tree, min_pts, mode, engine, cd_orig, stats, t0)
+    hdbscan_frame(points, min_pts, precomputed_cd, |tree, cd_orig, rec| {
+        mutual_reach_mst(tree, mode, engine, cd_orig, rec)
+    })
 }
 
-/// The shared tail of every HDBSCAN\* driver: the mutual-reachability MST
-/// over a built tree and core distances in original order.
-fn mst_on_tree<const D: usize>(
+/// The mutual-reachability MST in position space over a built tree and
+/// core distances in original order — the shared tail of every HDBSCAN\*
+/// driver.
+fn mutual_reach_mst<const D: usize>(
     tree: &KdTree<D>,
-    min_pts: usize,
     mode: SepMode,
     engine: MstEngine,
-    cd_orig: Vec<f64>,
-    mut stats: Stats,
-    t0: std::time::Instant,
-) -> HdbscanMst {
+    cd_orig: &[f64],
+    rec: &Recorder,
+) -> Vec<Edge> {
     assert_eq!(
         cd_orig.len(),
         tree.len(),
@@ -120,25 +138,17 @@ fn mst_on_tree<const D: usize>(
     );
     // Core distances remapped to permuted positions for the policy, plus
     // the per-node min/max annotations of §3.2.2.
-    let (cd_pos, cd_min, cd_max) = Stats::time(&mut stats.core_dist, || {
+    let (cd_pos, cd_min, cd_max) = {
+        let _phase = phase!(&rec.core_dist, "core_dist.annotate");
         let cd_pos: Vec<f64> = tree.idx.iter().map(|&o| cd_orig[o as usize]).collect();
         let (cd_min, cd_max) = core_distance_annotations(tree, &cd_pos);
         (cd_pos, cd_min, cd_max)
-    });
+    };
 
     let policy = MutualReachSep::new(mode, &cd_pos, &cd_min, &cd_max);
-    let edges = match engine {
-        MstEngine::Memo => wspd_mst_memogfk(tree, &policy, &mut stats),
-        MstEngine::Streaming(cap) => wspd_mst_streaming(tree, &policy, &mut stats, cap),
-    };
-    let edges = edges_to_original(tree, edges);
-    stats.total = t0.elapsed().as_secs_f64();
-    HdbscanMst {
-        min_pts,
-        total_weight: total_weight(&edges),
-        edges,
-        core_distances: cd_orig,
-        stats,
+    match engine {
+        MstEngine::Memo => wspd_mst_memogfk(tree, &policy, rec),
+        MstEngine::Streaming(cap) => wspd_mst_streaming(tree, &policy, rec, cap),
     }
 }
 
@@ -239,15 +249,17 @@ pub fn hdbscan_mst_on_tree<const D: usize>(
         Some(cap) => MstEngine::Streaming(cap),
         None => MstEngine::Memo,
     };
-    mst_on_tree(
-        tree,
+    let (edges, stats) = Recorder::run(|rec| {
+        let edges = mutual_reach_mst(tree, SepMode::Combined, engine, core_distances, rec);
+        edges_to_original(tree, edges)
+    });
+    HdbscanMst {
         min_pts,
-        SepMode::Combined,
-        engine,
-        core_distances.to_vec(),
-        Stats::default(),
-        std::time::Instant::now(),
-    )
+        total_weight: total_weight(&edges),
+        edges,
+        core_distances: core_distances.to_vec(),
+        stats,
+    }
 }
 
 #[cfg(test)]

@@ -16,120 +16,90 @@
 //! the space blow-up that motivates the paper's improved exact algorithm.
 
 use parclust_geom::Point;
-use parclust_kdtree::KdTree;
-use parclust_mst::{kruskal_batch, total_weight, Edge};
+use parclust_kdtree::NodeId;
+use parclust_mst::{kruskal_batch, Edge};
+use parclust_obs::phase;
 use parclust_primitives::collector::Collector;
 use parclust_primitives::unionfind::UnionFind;
 use parclust_wspd::{wspd_traverse, GeometricSep};
 
-use crate::drivers::edges_to_original;
-use crate::hdbscan::HdbscanMst;
-use crate::stats::Stats;
+use crate::hdbscan::{hdbscan_frame, HdbscanMst};
 
 /// Approximate OPTICS MST (Appendix C) with approximation parameter `rho`.
 ///
 /// Returns the same [`HdbscanMst`] shape as the exact drivers; weights are
 /// approximate mutual reachability distances.
 pub fn optics_approx<const D: usize>(points: &[Point<D>], min_pts: usize, rho: f64) -> HdbscanMst {
-    assert!(min_pts >= 1, "minPts must be at least 1");
     assert!(rho > 0.0, "rho must be positive");
-    let t0 = std::time::Instant::now();
-    let mut stats = Stats::default();
-    let n = points.len();
-    if n < 2 {
-        stats.total = t0.elapsed().as_secs_f64();
-        return HdbscanMst {
-            min_pts,
-            edges: Vec::new(),
-            core_distances: vec![0.0; n],
-            total_weight: 0.0,
-            stats,
+    // The MST, in position space, of the base graph over the
+    // s = sqrt(8/ρ) WSPD.
+    hdbscan_frame(points, min_pts, None, |tree, cd_orig, rec| {
+        let n = tree.len();
+        let cd_pos: Vec<f64> = tree.idx.iter().map(|&o| cd_orig[o as usize]).collect();
+        let policy = GeometricSep::for_optics_rho(rho);
+        let weight = |u: u32, v: u32| -> f64 {
+            let d = tree.dist_between(u, v);
+            (d / (1.0 + rho))
+                .max(cd_pos[u as usize])
+                .max(cd_pos[v as usize])
         };
-    }
+        // Deterministic pseudo-random representative of a node's point range.
+        let representative = |a: NodeId| -> u32 {
+            let (start, end) = (tree.node_start(a), tree.node_end(a));
+            let span = end - start;
+            let h = (a as u64).wrapping_mul(0x9e3779b97f4a7c15) >> 33;
+            start + (h as u32) % span
+        };
 
-    let tree = Stats::time(&mut stats.build_tree, || KdTree::build(points));
-    let cd_orig = Stats::time(&mut stats.core_dist, || {
-        let knn = tree.knn_all(min_pts);
-        (0..n).map(|i| knn.kth_dist(i)).collect::<Vec<f64>>()
-    });
-    let cd_pos: Vec<f64> = tree.idx.iter().map(|&o| cd_orig[o as usize]).collect();
-
-    // Base-graph construction over the s = sqrt(8/ρ) WSPD.
-    let policy = GeometricSep::for_optics_rho(rho);
-    let weight = |u: u32, v: u32| -> f64 {
-        let d = tree.dist_between(u, v);
-        (d / (1.0 + rho))
-            .max(cd_pos[u as usize])
-            .max(cd_pos[v as usize])
-    };
-    // Deterministic pseudo-random representative of a node's point range.
-    let representative = |a: parclust_kdtree::NodeId| -> u32 {
-        let (start, end) = (tree.node_start(a), tree.node_end(a));
-        let span = end - start;
-        let h = (a as u64).wrapping_mul(0x9e3779b97f4a7c15) >> 33;
-        start + (h as u32) % span
-    };
-
-    let edges_c: Collector<Edge> = Collector::new();
-    let pair_count = std::sync::atomic::AtomicU64::new(0);
-    Stats::time(&mut stats.wspd, || {
-        wspd_traverse(&tree, &policy, &|_, _| false, &|a, b| {
-            pair_count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let (sa, sb) = (tree.node_size(a), tree.node_size(b));
-            // Cases (a)-(d) of Appendix C.
-            match (sa >= min_pts, sb >= min_pts) {
-                (false, false) => {
-                    // (a): all pairs of points between A and B.
-                    for u in tree.node_start(a)..tree.node_end(a) {
+        rec.round();
+        let edges_c: Collector<Edge> = Collector::new();
+        {
+            let _phase = phase!(&rec.wspd, "optics.base_graph", points = n);
+            wspd_traverse(tree, &policy, &|_, _| false, &|a, b| {
+                rec.pairs(1);
+                let (sa, sb) = (tree.node_size(a), tree.node_size(b));
+                // Cases (a)-(d) of Appendix C.
+                match (sa >= min_pts, sb >= min_pts) {
+                    (false, false) => {
+                        // (a): all pairs of points between A and B.
+                        for u in tree.node_start(a)..tree.node_end(a) {
+                            for v in tree.node_start(b)..tree.node_end(b) {
+                                edges_c.push(Edge::new(u, v, weight(u, v)));
+                            }
+                        }
+                    }
+                    (true, false) => {
+                        // (b): representative of A to all of B.
+                        let u = representative(a);
                         for v in tree.node_start(b)..tree.node_end(b) {
                             edges_c.push(Edge::new(u, v, weight(u, v)));
                         }
                     }
-                }
-                (true, false) => {
-                    // (b): representative of A to all of B.
-                    let u = representative(a);
-                    for v in tree.node_start(b)..tree.node_end(b) {
+                    (false, true) => {
+                        // (c): symmetric.
+                        let v = representative(b);
+                        for u in tree.node_start(a)..tree.node_end(a) {
+                            edges_c.push(Edge::new(u, v, weight(u, v)));
+                        }
+                    }
+                    (true, true) => {
+                        // (d): representatives only.
+                        let (u, v) = (representative(a), representative(b));
                         edges_c.push(Edge::new(u, v, weight(u, v)));
                     }
                 }
-                (false, true) => {
-                    // (c): symmetric.
-                    let v = representative(b);
-                    for u in tree.node_start(a)..tree.node_end(a) {
-                        edges_c.push(Edge::new(u, v, weight(u, v)));
-                    }
-                }
-                (true, true) => {
-                    // (d): representatives only.
-                    let (u, v) = (representative(a), representative(b));
-                    edges_c.push(Edge::new(u, v, weight(u, v)));
-                }
-            }
-        });
-    });
-    let mut base_edges = edges_c.into_vec();
-    stats.pairs_materialized = pair_count.into_inner();
-    stats.peak_live_pairs = base_edges.len() as u64;
-    stats.peak_pair_bytes = (base_edges.len() * std::mem::size_of::<Edge>()) as u64;
-    stats.rounds = 1;
+            });
+        }
+        let mut base_edges = edges_c.into_vec();
+        rec.live(base_edges.len(), std::mem::size_of::<Edge>());
 
-    let mut uf = UnionFind::new(n);
-    let mut out = Vec::with_capacity(n - 1);
-    Stats::time(&mut stats.kruskal, || {
-        kruskal_batch(&mut base_edges, &mut uf, &mut out)
-    });
-    debug_assert_eq!(out.len(), n - 1, "base graph must be connected");
-
-    let edges = edges_to_original(&tree, out);
-    stats.total = t0.elapsed().as_secs_f64();
-    HdbscanMst {
-        min_pts,
-        total_weight: total_weight(&edges),
-        edges,
-        core_distances: cd_orig,
-        stats,
-    }
+        let mut uf = UnionFind::new(n);
+        let mut out = Vec::with_capacity(n - 1);
+        let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = base_edges.len());
+        kruskal_batch(&mut base_edges, &mut uf, &mut out);
+        debug_assert_eq!(out.len(), n - 1, "base graph must be connected");
+        out
+    })
 }
 
 #[cfg(test)]

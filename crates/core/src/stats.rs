@@ -2,12 +2,13 @@
 //!
 //! Figure 8 of the paper decomposes running time into build-tree,
 //! core-dist, wspd, kruskal, and dendrogram phases; the §5 memory study
-//! reports materialized-pair counts. Every driver in this crate fills in a
-//! [`Stats`] so the bench harness can regenerate those artifacts.
+//! reports materialized-pair counts. Every driver in this crate returns a
+//! [`Stats`]: the per-run snapshot of its phase guards
+//! ([`parclust_obs::phase!`]), so each time is the sum of its spans.
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::Duration;
 
 /// Wall-clock seconds per phase plus work/memory counters.
 #[derive(Debug, Clone, Default, Serialize)]
@@ -41,38 +42,72 @@ pub struct Stats {
     pub peak_pair_bytes: u64,
 }
 
-impl Stats {
-    /// Time `f`, adding the elapsed seconds to the field selected by `slot`.
-    pub(crate) fn time<T>(slot: &mut f64, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        *slot += t0.elapsed().as_secs_f64();
-        out
-    }
-}
-
-/// Thread-safe counters accumulated during parallel phases and folded into
-/// [`Stats`] afterwards.
+/// One run's phase slots (nanoseconds) and work counters, shared by
+/// reference with the drivers and turned into a [`Stats`] at return.
 #[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub bccp_calls: AtomicU64,
-    pub pairs_materialized: AtomicU64,
+pub(crate) struct Recorder {
+    pub build_tree: AtomicU64,
+    pub core_dist: AtomicU64,
+    pub wspd: AtomicU64,
+    pub kruskal: AtomicU64,
+    total: AtomicU64,
+    rounds: AtomicU64,
+    bccp_calls: AtomicU64,
+    pairs_materialized: AtomicU64,
+    peak_live_pairs: AtomicU64,
+    peak_pair_bytes: AtomicU64,
 }
 
-impl Counters {
+impl Recorder {
+    /// Run one entry point under a fresh recorder and its `total` guard.
+    pub fn run<T>(f: impl FnOnce(&Recorder) -> T) -> (T, Stats) {
+        let rec = Recorder::default();
+        let out = {
+            let _total = parclust_obs::phase!(&rec.total, "pipeline.total");
+            f(&rec)
+        };
+        (out, rec.into_stats())
+    }
+
+    pub fn round(&self) {
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+    }
+
     #[inline]
     pub fn bccp(&self) {
         self.bccp_calls.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn pairs(&self, k: u64) {
-        self.pairs_materialized.fetch_add(k, Ordering::Relaxed);
+    pub fn pairs(&self, k: usize) {
+        self.pairs_materialized
+            .fetch_add(k as u64, Ordering::Relaxed);
     }
 
-    pub fn fold_into(&self, stats: &mut Stats) {
-        stats.bccp_calls = self.bccp_calls.load(Ordering::Relaxed);
-        stats.pairs_materialized = self.pairs_materialized.load(Ordering::Relaxed);
+    /// `live` pairs are held at once, at `bytes_each` bytes apiece.
+    pub fn live(&self, live: usize, bytes_each: usize) {
+        self.peak_live_pairs
+            .fetch_max(live as u64, Ordering::Relaxed);
+        self.peak_pair_bytes
+            .fetch_max((live * bytes_each) as u64, Ordering::Relaxed);
+    }
+
+    fn into_stats(self) -> Stats {
+        let secs = |slot: AtomicU64| Duration::from_nanos(slot.into_inner()).as_secs_f64();
+        Stats {
+            build_tree: secs(self.build_tree),
+            core_dist: secs(self.core_dist),
+            wspd: secs(self.wspd),
+            kruskal: secs(self.kruskal),
+            // Timed by callers that go on to build the dendrogram.
+            dendrogram: 0.0,
+            total: secs(self.total),
+            rounds: self.rounds.into_inner(),
+            bccp_calls: self.bccp_calls.into_inner(),
+            pairs_materialized: self.pairs_materialized.into_inner(),
+            peak_live_pairs: self.peak_live_pairs.into_inner(),
+            peak_pair_bytes: self.peak_pair_bytes.into_inner(),
+        }
     }
 }
 
@@ -81,27 +116,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn timing_accumulates() {
-        let mut slot = 0.0;
-        let v = Stats::time(&mut slot, || 42);
-        assert_eq!(v, 42);
-        assert!(slot >= 0.0);
-        let before = slot;
-        Stats::time(&mut slot, || {
-            std::thread::sleep(std::time::Duration::from_millis(2))
+    fn counters_land_in_the_snapshot() {
+        let ((), s) = Recorder::run(|rec| {
+            rec.round();
+            rec.bccp();
+            rec.bccp();
+            rec.pairs(5);
+            rec.live(7, 16);
+            rec.live(3, 16);
+            let _phase = parclust_obs::phase!(&rec.wspd, "test.stats.wspd");
+            std::thread::sleep(std::time::Duration::from_millis(2));
         });
-        assert!(slot > before);
-    }
-
-    #[test]
-    fn counters_fold() {
-        let c = Counters::default();
-        c.bccp();
-        c.bccp();
-        c.pairs(5);
-        let mut s = Stats::default();
-        c.fold_into(&mut s);
-        assert_eq!(s.bccp_calls, 2);
-        assert_eq!(s.pairs_materialized, 5);
+        assert_eq!((s.rounds, s.bccp_calls, s.pairs_materialized), (1, 2, 5));
+        assert_eq!((s.peak_live_pairs, s.peak_pair_bytes), (7, 7 * 16));
+        assert!(s.wspd >= 0.002, "wspd {}", s.wspd);
+        assert!(s.total >= s.wspd);
+        assert_eq!(s.build_tree + s.core_dist + s.kruskal + s.dendrogram, 0.0);
     }
 }

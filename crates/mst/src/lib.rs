@@ -195,9 +195,9 @@ pub struct PrimResult {
     pub total_weight: f64,
 }
 
-/// Total weight helper.
+/// Total weight helper: the left-to-right sum, `+0.0` for no edges.
 pub fn total_weight(edges: &[Edge]) -> f64 {
-    edges.iter().map(|e| e.w).sum()
+    edges.iter().fold(0.0, |acc, e| acc + e.w)
 }
 
 #[cfg(test)]

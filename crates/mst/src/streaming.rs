@@ -111,7 +111,6 @@ impl StreamingForest {
         if batch.is_empty() {
             return;
         }
-        let _span = parclust_obs::span!("mst.absorb", edges = batch.len());
         batch.extend_from_slice(&self.edges);
         let mut uf = UnionFind::new(self.n);
         self.edges.clear();

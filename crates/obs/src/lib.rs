@@ -1,7 +1,7 @@
 //! parclust-obs: std-only observability primitives shared by the pipeline,
 //! the thread-pool shim's consumers, and the serving stack.
 //!
-//! Three pieces, all allocation-free on their hot paths:
+//! Four pieces, all allocation-free on their hot paths:
 //!
 //! * [`hist::Histogram`] — fixed-bucket, log-spaced latency histogram over
 //!   integer nanoseconds. All increments are `Relaxed` on pre-sized atomic
@@ -12,6 +12,10 @@
 //!   recording into per-thread atomic ring buffers. When tracing is
 //!   disabled the entire cost of a span is a single relaxed load and
 //!   branch.
+//! * [`phase!`] — the phase guard (`phase!(&slot, "wspd.get_rho", beta = b)`),
+//!   a span that also adds its duration to a caller-owned nanosecond
+//!   slot. `parclust::Stats` is built from these slots, so its times are
+//!   sums of trace spans.
 //! * [`export`] — cold-path drain of the rings into Chrome-trace-format
 //!   JSON (`chrome://tracing` / Perfetto `"traceEvents"` shape), used by
 //!   `repro --trace out.json`.

@@ -174,52 +174,59 @@ impl Site {
     }
 }
 
-/// An in-flight span; records a complete event on drop. Inert (two
-/// branches total) when tracing is disabled at creation.
+/// An in-flight span; on drop records a complete event (if tracing was on
+/// at creation) and, for a phase guard, adds the same duration to its
+/// `slot`. A plain span is inert (two branches total) when tracing is off.
 #[must_use = "a span records its duration when dropped; bind it with `let _span = ...`"]
-pub struct Span {
+pub struct Span<'a> {
+    slot: Option<&'a AtomicU64>,
     meta: u64,
     start_ns: u64,
     arg_val: u64,
     armed: bool,
 }
 
-impl Drop for Span {
+impl Drop for Span<'_> {
     #[inline]
     fn drop(&mut self) {
-        if !self.armed {
+        if !self.armed && self.slot.is_none() {
             return;
         }
         let dur = now_ns().saturating_sub(self.start_ns);
-        let (meta, start, val) = (self.meta, self.start_ns, self.arg_val);
-        // During thread teardown the TLS ring may already be destroyed;
-        // dropping the event beats aborting the process.
-        let _ = RING.try_with(|r| r.push(meta, start, dur, val));
+        if let Some(slot) = self.slot {
+            slot.fetch_add(dur, Ordering::Relaxed);
+        }
+        if self.armed {
+            let (meta, start, val) = (self.meta, self.start_ns, self.arg_val);
+            // During thread teardown the TLS ring may already be destroyed;
+            // dropping the event beats aborting the process.
+            let _ = RING.try_with(|r| r.push(meta, start, dur, val));
+        }
     }
 }
 
-/// Start a span at a static call site. Prefer the [`span!`] macro, which
-/// declares the `Site` statics for you.
+/// Start a span (`slot: None`) or a phase guard at a static call site.
+/// Prefer the [`span!`](crate::span) and [`phase!`](crate::phase) macros, which declare the `Site`
+/// statics for you.
 #[inline]
-pub fn span_at(site: &'static Site, arg: Option<(&'static Site, u64)>) -> Span {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return Span {
-            meta: 0,
-            start_ns: 0,
-            arg_val: 0,
-            armed: false,
-        };
-    }
-    let name = site.id() as u64;
-    let (key, val) = match arg {
-        Some((k, v)) => (k.id(), v),
-        None => (NO_KEY, 0),
+pub fn span_at<'a>(
+    slot: Option<&'a AtomicU64>,
+    site: &'static Site,
+    arg: Option<(&'static Site, u64)>,
+) -> Span<'a> {
+    let armed = ENABLED.load(Ordering::Relaxed);
+    let (meta, arg_val) = match (armed, arg) {
+        (false, _) => (0, 0),
+        (true, Some((k, v))) => ((site.id() as u64) << 32 | k.id() as u64, v),
+        (true, None) => ((site.id() as u64) << 32 | NO_KEY as u64, 0),
     };
+    let start_ns = if armed || slot.is_some() { now_ns() } else { 0 };
     Span {
-        meta: name << 32 | key as u64,
-        start_ns: now_ns(),
-        arg_val: val,
-        armed: true,
+        slot,
+        meta,
+        start_ns,
+        arg_val,
+        armed,
     }
 }
 
@@ -236,18 +243,35 @@ pub fn span_at(site: &'static Site, arg: Option<(&'static Site, u64)>) -> Span {
 /// into the Chrome-trace `args` object.
 #[macro_export]
 macro_rules! span {
-    ($name:literal) => {{
+    ($name:literal $(, $key:ident = $val:expr)?) => {
+        $crate::__span_at!(::core::option::Option::None, $name $(, $key = $val)?)
+    };
+}
+
+/// A phase guard: a [`span!`](crate::span) that always reads the clock and adds its
+/// duration to the `&AtomicU64` nanosecond slot given first, e.g.
+/// `phase!(&rec.wspd, "wspd.get_rho", beta = beta)`. The slot is thus
+/// exactly the sum of its spans' durations.
+#[macro_export]
+macro_rules! phase {
+    ($slot:expr, $name:literal $(, $key:ident = $val:expr)?) => {
+        $crate::__span_at!(::core::option::Option::Some($slot), $name $(, $key = $val)?)
+    };
+}
+
+/// The body of `span!` and `phase!`: one static `Site` per call site
+/// (plus one for the argument key, if any).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __span_at {
+    ($slot:expr, $name:literal $(, $key:ident = $val:expr)?) => {{
         static __PARCLUST_SITE: $crate::trace::Site = $crate::trace::Site::new($name);
-        $crate::trace::span_at(&__PARCLUST_SITE, ::core::option::Option::None)
-    }};
-    ($name:literal, $key:ident = $val:expr) => {{
-        static __PARCLUST_SITE: $crate::trace::Site = $crate::trace::Site::new($name);
-        static __PARCLUST_KEY: $crate::trace::Site =
-            $crate::trace::Site::new(::core::stringify!($key));
-        $crate::trace::span_at(
-            &__PARCLUST_SITE,
-            ::core::option::Option::Some((&__PARCLUST_KEY, ($val) as u64)),
-        )
+        let arg = ::core::option::Option::None $(.or({
+            static __PARCLUST_KEY: $crate::trace::Site =
+                $crate::trace::Site::new(::core::stringify!($key));
+            ::core::option::Option::Some((&__PARCLUST_KEY, ($val) as u64))
+        }))?;
+        $crate::trace::span_at($slot, &__PARCLUST_SITE, arg)
     }};
 }
 

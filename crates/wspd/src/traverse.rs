@@ -122,7 +122,6 @@ pub fn wspd_materialize<const D: usize, P>(tree: &KdTree<D>, policy: &P) -> Vec<
 where
     P: SeparationPolicy<D>,
 {
-    let _span = parclust_obs::span!("wspd.materialize", points = tree.len());
     let out: Collector<NodePair> = Collector::new();
     wspd_traverse(tree, policy, &|_, _| false, &|a, b| {
         out.push(if a < b { (a, b) } else { (b, a) });

@@ -2,7 +2,7 @@
 
 use parclust::{
     dendrogram_par, emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive,
-    reachability_plot, single_linkage_cut, single_linkage_k, Point,
+    emst_streaming, reachability_plot, single_linkage_cut, single_linkage_k, Point, Stats,
 };
 use parclust_data::{gps_like, seed_spreader, sensor_like, uniform_fill};
 use parclust_primitives::unionfind::UnionFind;
@@ -25,12 +25,37 @@ fn check_spanning(n: usize, edges: &[parclust::Edge]) {
     assert_eq!(uf.components(), 1, "edges must span all points");
 }
 
+/// The phases are disjoint parts of the run, so `total` covers them all.
+fn check_total(stats: &Stats, what: &str) {
+    let phases = stats.build_tree + stats.core_dist + stats.wspd + stats.kruskal;
+    assert!(
+        stats.total >= phases,
+        "{what}: total {} < phase sum {phases}",
+        stats.total
+    );
+}
+
 fn drivers_agree<const D: usize>(pts: &[Point<D>], what: &str) -> f64 {
     let memo = emst_memogfk(pts);
     check_spanning(pts.len(), &memo.edges);
     let naive = emst_naive(pts);
     let gfk = emst_gfk(pts);
     let boruvka = emst_boruvka(pts);
+    let streamed = emst_streaming(pts, 512);
+    for (name, t) in [
+        ("memogfk", &memo),
+        ("naive", &naive),
+        ("gfk", &gfk),
+        ("boruvka", &boruvka),
+        ("streaming", &streamed),
+    ] {
+        check_total(&t.stats, &format!("{what}: {name}"));
+    }
+    assert_close(
+        streamed.total_weight,
+        memo.total_weight,
+        &format!("{what}: streaming"),
+    );
     assert_close(
         naive.total_weight,
         memo.total_weight,
@@ -51,6 +76,7 @@ fn uniform_2d_all_drivers_plus_delaunay() {
     let w = drivers_agree(&pts, "2D-UniformFill");
     let del = emst_delaunay(&pts);
     assert_close(del.total_weight, w, "2D-UniformFill: delaunay");
+    check_total(&del.stats, "2D-UniformFill: delaunay");
 }
 
 #[test]
@@ -59,6 +85,7 @@ fn seed_spreader_2d_all_drivers_plus_delaunay() {
     let w = drivers_agree(&pts, "2D-SS-varden");
     let del = emst_delaunay(&pts);
     assert_close(del.total_weight, w, "2D-SS-varden: delaunay");
+    check_total(&del.stats, "2D-SS-varden: delaunay");
 }
 
 #[test]

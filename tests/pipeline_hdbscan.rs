@@ -3,7 +3,7 @@
 
 use parclust::{
     dbscan_star_labels, dendrogram_par, dendrogram_seq, hdbscan_gantao, hdbscan_memogfk,
-    optics_approx, reachability_plot, Point, NOISE,
+    hdbscan_streaming, optics_approx, reachability_plot, Point, Stats, NOISE,
 };
 use parclust_data::{gps_like, seed_spreader, sensor_like, uniform_fill};
 
@@ -14,12 +14,31 @@ fn assert_close(a: f64, b: f64, what: &str) {
     );
 }
 
+/// The phases are disjoint parts of the run, so `total` covers them all.
+fn check_total(stats: &Stats, what: &str) {
+    let phases = stats.build_tree + stats.core_dist + stats.wspd + stats.kruskal;
+    assert!(
+        stats.total >= phases,
+        "{what}: total {} < phase sum {phases}",
+        stats.total
+    );
+}
+
 fn variants_agree<const D: usize>(pts: &[Point<D>], min_pts: usize, what: &str) {
     let memo = hdbscan_memogfk(pts, min_pts);
     let gan = hdbscan_gantao(pts, min_pts);
+    let streamed = hdbscan_streaming(pts, min_pts, 512);
     assert_eq!(memo.edges.len(), pts.len() - 1);
     assert_eq!(gan.edges.len(), pts.len() - 1);
     assert_close(memo.total_weight, gan.total_weight, what);
+    assert_close(memo.total_weight, streamed.total_weight, what);
+    for (name, h) in [
+        ("memogfk", &memo),
+        ("gantao", &gan),
+        ("streaming", &streamed),
+    ] {
+        check_total(&h.stats, &format!("{what}: {name}"));
+    }
     // Edge weights respect the mutual reachability lower bound: every
     // incident edge weighs at least the endpoint's core distance.
     for e in &memo.edges {
@@ -132,6 +151,7 @@ fn optics_approx_bounds_and_pair_blowup() {
     for rho in [0.125, 0.5, 2.0] {
         let approx = optics_approx(&pts, 10, rho);
         assert_eq!(approx.edges.len(), pts.len() - 1);
+        check_total(&approx.stats, &format!("optics rho={rho}"));
         assert!(
             approx.total_weight <= exact.total_weight * (1.0 + rho) + 1e-9,
             "rho={rho} upper"
