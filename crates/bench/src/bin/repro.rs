@@ -10,16 +10,37 @@
 //! JSON report (`bench_results/repro.json`). Absolute numbers are
 //! machine-dependent; EXPERIMENTS.md records the paper-vs-measured
 //! comparison of the *shapes* (method rankings, ratios, crossovers).
+//!
+//! Exit codes follow [`parclust_bench::cli`]: a bad flag, value or
+//! experiment name exits 2 and a failed write exits 1, each with one
+//! `repro: error:` line; a reader that closes stdout early ends the run
+//! with exit 0.
 
 use parclust::{
     condense_tree, count_clusters, dendrogram_par, dendrogram_seq, emst_boruvka, emst_delaunay,
     emst_gfk, emst_memogfk, emst_naive, extract_eom_eps, hdbscan_gantao, hdbscan_memogfk,
     optics_approx, NOISE,
 };
+use parclust_bench::cli::Cli;
 use parclust_bench::{
     best_time, best_time_with_metrics, dataset, fmt_secs, thread_counts, with_points, DataSpec,
     Report, ResultRow, DATASETS,
 };
+
+const CLI: Cli = Cli("repro");
+
+/// `println!` that ends the run quietly when stdout's reader hung up.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        CLI.say(format_args!($($arg)*))
+    };
+}
+
+/// Every experiment name the harness runs (`scale` only when named).
+const EXPERIMENTS: &[&str] = &[
+    "table2", "table3", "table4", "table5", "fig6", "fig7", "fig8", "fig9", "fig10", "memory",
+    "minpts", "ablation", "extract", "scale", "all",
+];
 
 struct Opts {
     experiments: Vec<String>,
@@ -52,55 +73,62 @@ fn parse_args() -> Opts {
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => opts.scale = args.next().expect("--scale N").parse().expect("float"),
+        let flag = a.as_str();
+        match flag {
+            "--scale" => opts.scale = CLI.parse(&mut args, flag),
             "--threads" => {
                 // Route through the env knob the harness reads so every
                 // experiment (tables, figures) sees the same ceiling.
-                let t: usize = args.next().expect("--threads N").parse().expect("int");
-                assert!(t > 0, "--threads must be positive");
+                let t: usize = CLI.parse(&mut args, flag);
+                if t == 0 {
+                    CLI.bad_arg("--threads must be at least 1");
+                }
                 std::env::set_var("PARCLUST_MAX_THREADS", t.to_string());
             }
-            "--reps" => opts.reps = args.next().expect("--reps N").parse().expect("int"),
-            "--minpts" => opts.min_pts = args.next().expect("--minpts N").parse().expect("int"),
+            "--reps" => opts.reps = CLI.parse(&mut args, flag),
+            "--minpts" => opts.min_pts = CLI.parse(&mut args, flag),
             "--cluster-eps" => {
-                opts.cluster_eps = args
-                    .next()
-                    .expect("--cluster-eps a,b,c")
+                let raw = CLI.value(&mut args, flag);
+                opts.cluster_eps = raw
                     .split(',')
-                    .map(|s| s.trim().parse().expect("float"))
+                    .map(|s| {
+                        s.trim().parse().unwrap_or_else(|_| {
+                            CLI.bad_arg(format_args!("invalid value {raw:?} for {flag}"))
+                        })
+                    })
                     .collect();
-                assert!(!opts.cluster_eps.is_empty(), "--cluster-eps needs values");
             }
-            "--out" => opts.out_dir = args.next().expect("--out DIR").into(),
-            "--points-file" => {
-                opts.points_file = Some(args.next().expect("--points-file PATH").into())
-            }
+            "--out" => opts.out_dir = CLI.value(&mut args, flag).into(),
+            "--points-file" => opts.points_file = Some(CLI.value(&mut args, flag).into()),
             "--max-memory" => {
-                opts.max_memory =
-                    parclust_bench::memory::parse_bytes(&args.next().expect("--max-memory SIZE"))
-                        .expect("byte size like 512M or 2G")
+                let raw = CLI.value(&mut args, flag);
+                opts.max_memory = parclust_bench::memory::parse_bytes(&raw)
+                    .unwrap_or_else(|e| CLI.bad_arg(format_args!("--max-memory {raw:?}: {e}")));
             }
             "--strict-memory" => opts.strict_memory = true,
-            "--trace" => opts.trace = Some(args.next().expect("--trace PATH").into()),
+            "--trace" => opts.trace = Some(CLI.value(&mut args, flag).into()),
             "--datasets" => {
                 opts.only_datasets = Some(
-                    args.next()
-                        .expect("--datasets a,b")
+                    CLI.value(&mut args, flag)
                         .split(',')
                         .map(|s| s.to_string())
                         .collect(),
                 )
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [table2|table3|table4|table5|fig6|fig7|fig8|fig9|fig10|memory|minpts|ablation|extract|scale|all]... \
+                say!(
+                    "usage: repro [{}]... \
                      [--scale F] [--reps N] [--minpts N] [--threads N] [--cluster-eps a,b,c] [--datasets a,b] [--out DIR] \
-                     [--points-file PATH] [--max-memory SIZE] [--strict-memory] [--trace PATH]"
+                     [--points-file PATH] [--max-memory SIZE] [--strict-memory] [--trace PATH]",
+                    EXPERIMENTS.join("|")
                 );
                 std::process::exit(0);
             }
-            other => opts.experiments.push(other.to_string()),
+            other if other.starts_with('-') => {
+                CLI.bad_arg(format_args!("unknown argument {other:?} (see --help)"))
+            }
+            other if EXPERIMENTS.contains(&other) => opts.experiments.push(a),
+            other => CLI.bad_arg(format_args!("unknown experiment {other:?} (see --help)")),
         }
     }
     if opts.experiments.is_empty() {
@@ -217,8 +245,8 @@ fn run_hdbscan_method(
 /// derived speedup table.
 fn table4_and_2(opts: &Opts, report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
-    println!("\n=== Table 4: EMST running times (1 thread vs {max_t} threads) ===");
-    println!(
+    say!("\n=== Table 4: EMST running times (1 thread vs {max_t} threads) ===");
+    say!(
         "{:<20} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
         "dataset",
         "Naive-1",
@@ -264,7 +292,7 @@ fn table4_and_2(opts: &Opts, report: &mut Report) {
                 }
             }
         }
-        println!(
+        say!(
             "{:<20} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
             spec.name,
             cells[0],
@@ -289,13 +317,15 @@ fn table4_and_2(opts: &Opts, report: &mut Report) {
 
 fn print_table2(family: &str, speedups: &[(String, String, f64, f64)], report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
-    println!(
+    say!(
         "\n=== Table 2 ({family}): speedups on {max_t} threads \
          (paper: 48 cores with hyper-threading; ranges over data sets) ==="
     );
-    println!(
+    say!(
         "{:<20} {:>30} {:>30}",
-        "method", "over best sequential", "self-relative"
+        "method",
+        "over best sequential",
+        "self-relative"
     );
     let mut methods: Vec<String> = Vec::new();
     for (m, _, _, _) in speedups {
@@ -329,7 +359,7 @@ fn print_table2(family: &str, speedups: &[(String, String, f64, f64)], report: &
             });
         }
         let k = rows.len() as f64;
-        println!(
+        say!(
             "{:<20} {:>9.2}-{:<8.2} avg {:>6.2} {:>9.2}-{:<8.2} avg {:>6.2}",
             m,
             lo1,
@@ -346,10 +376,13 @@ fn print_table2(family: &str, speedups: &[(String, String, f64, f64)], report: &
 /// (the mlpack stand-in) vs sequential MemoGFK (paper: MemoGFK 0.89–4.17x
 /// faster, 2.44x average).
 fn table3(opts: &Opts, report: &mut Report) {
-    println!("\n=== Table 3: sequential EMST — Boruvka baseline vs MemoGFK (1 thread) ===");
-    println!(
+    say!("\n=== Table 3: sequential EMST — Boruvka baseline vs MemoGFK (1 thread) ===");
+    say!(
         "{:<20} {:>12} {:>12} {:>10}",
-        "dataset", "Boruvka(s)", "MemoGFK(s)", "ratio"
+        "dataset",
+        "Boruvka(s)",
+        "MemoGFK(s)",
+        "ratio"
     );
     let mut ratios = Vec::new();
     for spec in selected(opts) {
@@ -358,7 +391,7 @@ fn table3(opts: &Opts, report: &mut Report) {
         let (tm, _, _) = run_emst_method("EMST-MemoGFK", spec, n, 1, opts.reps).unwrap();
         let ratio = tb / tm;
         ratios.push(ratio);
-        println!(
+        say!(
             "{:<20} {:>12} {:>12} {:>9.2}x",
             spec.name,
             fmt_secs(tb),
@@ -378,19 +411,23 @@ fn table3(opts: &Opts, report: &mut Report) {
         }
     }
     let avg = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-    println!("MemoGFK vs Boruvka baseline: {avg:.2}x average (paper vs mlpack: 2.44x average)");
+    say!("MemoGFK vs Boruvka baseline: {avg:.2}x average (paper vs mlpack: 2.44x average)");
 }
 
 /// Table 5: HDBSCAN* raw times (minPts = 10), both variants, 1 vs P threads.
 fn table5(opts: &Opts, report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
-    println!(
+    say!(
         "\n=== Table 5: HDBSCAN* (minPts={}) running times (MST + dendrogram) ===",
         opts.min_pts
     );
-    println!(
+    say!(
         "{:<20} {:>12} {:>12} {:>12} {:>12}",
-        "dataset", "MemoGFK-1", "MemoGFK-P", "GanTao-1", "GanTao-P"
+        "dataset",
+        "MemoGFK-1",
+        "MemoGFK-P",
+        "GanTao-1",
+        "GanTao-P"
     );
     let mut speedups: Vec<(String, String, f64, f64)> = Vec::new();
     for spec in selected(opts) {
@@ -415,9 +452,13 @@ fn table5(opts: &Opts, report: &mut Report) {
                 });
             }
         }
-        println!(
+        say!(
             "{:<20} {:>12} {:>12} {:>12} {:>12}",
-            spec.name, cells[0], cells[1], cells[2], cells[3]
+            spec.name,
+            cells[0],
+            cells[1],
+            cells[2],
+            cells[3]
         );
         let best_seq = pairs
             .iter()
@@ -439,7 +480,7 @@ fn figures_6_7(opts: &Opts, report: &mut Report, which: &str) {
     } else {
         EMST_METHODS.to_vec()
     };
-    println!(
+    say!(
         "\n=== Figure {}: {} speedup over best sequential vs thread count ===",
         if is_hdb { "7" } else { "6" },
         if is_hdb {
@@ -476,19 +517,20 @@ fn figures_6_7(opts: &Opts, report: &mut Report, which: &str) {
             .iter()
             .map(|(_, s)| s[0])
             .fold(f64::INFINITY, f64::min);
-        println!(
+        say!(
             "--- {} (n={n}, best sequential {:.3}s) ---",
-            spec.name, best_seq
+            spec.name,
+            best_seq
         );
-        print!("{:<18}", "threads");
+        let mut line = format!("{:<18}", "threads");
         for &t in &ts {
-            print!("{t:>10}");
+            line.push_str(&format!("{t:>10}"));
         }
-        println!();
+        say!("{line}");
         for (method, series) in &times {
-            print!("{method:<18}");
+            let mut line = format!("{method:<18}");
             for (i, secs) in series.iter().enumerate() {
-                print!("{:>9.2}x", best_seq / secs);
+                line.push_str(&format!("{:>9.2}x", best_seq / secs));
                 report.push(ResultRow {
                     experiment: which.into(),
                     dataset: spec.name.into(),
@@ -499,7 +541,7 @@ fn figures_6_7(opts: &Opts, report: &mut Report, which: &str) {
                     extra: Some(serde_json::json!({"speedup": best_seq / secs})),
                 });
             }
-            println!();
+            say!("{line}");
         }
     }
 }
@@ -507,10 +549,17 @@ fn figures_6_7(opts: &Opts, report: &mut Report, which: &str) {
 /// Figure 8: per-phase decomposition of the parallel running times.
 fn fig8(opts: &Opts, report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
-    println!("\n=== Figure 8: phase decomposition at {max_t} threads ===");
-    println!(
+    say!("\n=== Figure 8: phase decomposition at {max_t} threads ===");
+    say!(
         "{:<20} {:<18} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
-        "dataset", "method", "build-tree", "core-dist", "wspd", "kruskal", "dendrogram", "total"
+        "dataset",
+        "method",
+        "build-tree",
+        "core-dist",
+        "wspd",
+        "kruskal",
+        "dendrogram",
+        "total"
     );
     for spec in figure_subset(opts) {
         let n = n_of(spec, opts.scale);
@@ -525,7 +574,7 @@ fn fig8(opts: &Opts, report: &mut Report) {
             rows.push((method.to_string(), stats));
         }
         for (method, s) in rows {
-            println!(
+            say!(
                 "{:<20} {:<18} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11}",
                 spec.name,
                 method,
@@ -553,10 +602,14 @@ fn fig8(opts: &Opts, report: &mut Report) {
 /// single-linkage (EMST input) and HDBSCAN* (minPts=10) MSTs.
 fn fig9(opts: &Opts, report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
-    println!("\n=== Figure 9: ordered dendrogram speedups ({max_t} threads, self-relative) ===");
-    println!(
+    say!("\n=== Figure 9: ordered dendrogram speedups ({max_t} threads, self-relative) ===");
+    say!(
         "{:<20} {:>16} {:>12} {:>16} {:>12}",
-        "dataset", "SLC speedup", "SLC time", "HDB speedup", "HDB time"
+        "dataset",
+        "SLC speedup",
+        "SLC time",
+        "HDB speedup",
+        "HDB time"
     );
     for spec in selected(opts) {
         let n = n_of(spec, opts.scale);
@@ -571,7 +624,7 @@ fn fig9(opts: &Opts, report: &mut Report) {
             let (_, hdbp) = best_time(max_t, opts.reps, || dendrogram_par(pts.len(), &h.edges, 0));
             ((slc1, slcp), (hdb1, hdbp))
         });
-        println!(
+        say!(
             "{:<20} {:>15.2}x {:>12} {:>15.2}x {:>12}",
             spec.name,
             slc.0 / slc.1,
@@ -599,24 +652,24 @@ fn fig9(opts: &Opts, report: &mut Report) {
 /// Figure 10: approximate OPTICS vs the exact HDBSCAN* methods.
 fn fig10(opts: &Opts, report: &mut Report) {
     let ts = thread_counts();
-    println!("\n=== Figure 10: OPTICS-GanTaoApprox (rho=0.125) vs exact HDBSCAN* ===");
+    say!("\n=== Figure 10: OPTICS-GanTaoApprox (rho=0.125) vs exact HDBSCAN* ===");
     let specs: Vec<&DataSpec> = ["7D-Household-like", "16D-CHEM-like"]
         .iter()
         .filter_map(|n| dataset(n))
         .collect();
     for spec in specs {
         let n = n_of(spec, opts.scale);
-        println!("--- {} (n={n}) ---", spec.name);
-        print!("{:<22}", "threads");
+        say!("--- {} (n={n}) ---", spec.name);
+        let mut line = format!("{:<22}", "threads");
         for &t in &ts {
-            print!("{t:>12}");
+            line.push_str(&format!("{t:>12}"));
         }
-        println!();
+        say!("{line}");
         for method in ["HDBSCAN-MemoGFK", "HDBSCAN-GanTao", "OPTICS-GanTaoApprox"] {
-            print!("{method:<22}");
+            let mut line = format!("{method:<22}");
             for &t in &ts {
                 let (secs, _, _) = run_hdbscan_method(method, spec, n, t, opts.reps, opts.min_pts);
-                print!("{:>12}", fmt_secs(secs));
+                line.push_str(&format!("{:>12}", fmt_secs(secs)));
                 report.push(ResultRow {
                     experiment: "fig10".into(),
                     dataset: spec.name.into(),
@@ -627,7 +680,7 @@ fn fig10(opts: &Opts, report: &mut Report) {
                     extra: None,
                 });
             }
-            println!();
+            say!("{line}");
         }
     }
 }
@@ -662,10 +715,16 @@ fn hdbscan_wspd_sizes<const D: usize>(
 /// §5 memory study: peak materialized pairs/bytes per method, and the WSPD
 /// pair-count ratio of the two HDBSCAN* separation definitions.
 fn memory(opts: &Opts, report: &mut Report) {
-    println!("\n=== Memory study (§5 'MemoGFK Memory Usage') ===");
-    println!(
+    say!("\n=== Memory study (§5 'MemoGFK Memory Usage') ===");
+    say!(
         "{:<20} {:>13} {:>13} {:>9} {:>13} {:>13} {:>9}",
-        "dataset", "full WSPD", "MemoGFK peak", "ratio", "WSPD std", "WSPD new", "sep ratio"
+        "dataset",
+        "full WSPD",
+        "MemoGFK peak",
+        "ratio",
+        "WSPD std",
+        "WSPD new",
+        "sep ratio"
     );
     for spec in selected(opts) {
         let n = n_of(spec, opts.scale);
@@ -681,7 +740,7 @@ fn memory(opts: &Opts, report: &mut Report) {
         });
         let ratio = naive.peak_live_pairs as f64 / memo.peak_live_pairs.max(1) as f64;
         let sep_ratio = wspd_std as f64 / wspd_new.max(1) as f64;
-        println!(
+        say!(
             "{:<20} {:>13} {:>13} {:>8.2}x {:>13} {:>13} {:>8.2}x",
             spec.name,
             naive.peak_live_pairs,
@@ -711,7 +770,7 @@ fn memory(opts: &Opts, report: &mut Report) {
             })),
         });
     }
-    println!(
+    say!(
         "(paper: MemoGFK reduces memory by up to 10x; the new separation \
          yields 2.5-10.29x fewer pairs)"
     );
@@ -721,19 +780,19 @@ fn memory(opts: &Opts, report: &mut Report) {
 /// minPts from 10 to 50.
 fn minpts(opts: &Opts, report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
-    println!("\n=== minPts sensitivity (HDBSCAN*-MemoGFK, {max_t} threads) ===");
-    print!("{:<20}", "dataset");
+    say!("\n=== minPts sensitivity (HDBSCAN*-MemoGFK, {max_t} threads) ===");
+    let mut line = format!("{:<20}", "dataset");
     let mps = [10usize, 20, 30, 40, 50];
     for mp in mps {
-        print!("{:>12}", format!("minPts={mp}"));
+        line.push_str(&format!("{:>12}", format!("minPts={mp}")));
     }
-    println!();
+    say!("{line}");
     for spec in figure_subset(opts) {
         let n = n_of(spec, opts.scale);
-        print!("{:<20}", spec.name);
+        let mut line = format!("{:<20}", spec.name);
         for mp in mps {
             let (secs, _, _) = run_hdbscan_method("HDBSCAN-MemoGFK", spec, n, max_t, opts.reps, mp);
-            print!("{:>12}", fmt_secs(secs));
+            line.push_str(&format!("{:>12}", fmt_secs(secs)));
             report.push(ResultRow {
                 experiment: "minpts".into(),
                 dataset: spec.name.into(),
@@ -744,7 +803,7 @@ fn minpts(opts: &Opts, report: &mut Report) {
                 extra: None,
             });
         }
-        println!();
+        say!("{line}");
     }
 }
 
@@ -754,10 +813,15 @@ fn minpts(opts: &Opts, report: &mut Report) {
 fn ablation(opts: &Opts, report: &mut Report) {
     use parclust::{emst_memogfk_with_schedule, BetaSchedule};
     let max_t = *thread_counts().last().unwrap();
-    println!("\n=== Ablation: MemoGFK β schedule (doubling vs +1) at {max_t} threads ===");
-    println!(
+    say!("\n=== Ablation: MemoGFK β schedule (doubling vs +1) at {max_t} threads ===");
+    say!(
         "{:<20} {:>12} {:>9} {:>12} {:>9} {:>9}",
-        "dataset", "double(s)", "rounds", "increment(s)", "rounds", "slowdown"
+        "dataset",
+        "double(s)",
+        "rounds",
+        "increment(s)",
+        "rounds",
+        "slowdown"
     );
     for spec in figure_subset(opts) {
         // The incremental schedule needs Θ(max pair cardinality) rounds —
@@ -773,7 +837,7 @@ fn ablation(opts: &Opts, report: &mut Report) {
             });
             ((td, sd.rounds), (ti, si.rounds))
         });
-        println!(
+        say!(
             "{:<20} {:>12} {:>9} {:>12} {:>9} {:>8.2}x",
             spec.name,
             fmt_secs(d.0),
@@ -801,13 +865,17 @@ fn ablation(opts: &Opts, report: &mut Report) {
 /// counts and extraction time on top of one HDBSCAN* hierarchy per data
 /// set. The hierarchy is built once; only the selection sweep is timed.
 fn extraction(opts: &Opts, report: &mut Report) {
-    println!(
+    say!(
         "\n=== EOM extraction: cluster_selection_epsilon sweep (minPts={}, minClusterSize=10) ===",
         opts.min_pts
     );
-    println!(
+    say!(
         "{:<20} {:>12} {:>10} {:>10} {:>12}",
-        "dataset", "eps", "clusters", "noise", "extract(s)"
+        "dataset",
+        "eps",
+        "clusters",
+        "noise",
+        "extract(s)"
     );
     for spec in figure_subset(opts) {
         let n = n_of(spec, opts.scale);
@@ -821,7 +889,7 @@ fn extraction(opts: &Opts, report: &mut Report) {
                 let secs = t0.elapsed().as_secs_f64();
                 let noise = labels.iter().filter(|&&l| l == NOISE).count();
                 let clusters = count_clusters(&labels);
-                println!(
+                say!(
                     "{:<20} {:>12} {:>10} {:>10} {:>12}",
                     spec.name,
                     format!("{eps}"),
@@ -860,11 +928,12 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
     use parclust_bench::memory::fmt_bytes;
     use parclust_data::io::{chunked_header, ChunkedWriter};
 
-    println!(
+    say!(
         "\n=== Scale: out-of-core ingestion + streaming EMST (max-memory {}) ===",
         fmt_bytes(opts.max_memory)
     );
-    std::fs::create_dir_all(&opts.out_dir).expect("create out dir");
+    std::fs::create_dir_all(&opts.out_dir)
+        .unwrap_or_else(|e| CLI.fail(format_args!("create {}: {e}", opts.out_dir.display())));
     let (path, generated) = match &opts.points_file {
         Some(p) => (p.clone(), false),
         None => {
@@ -872,11 +941,15 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
             let p = opts.out_dir.join("scale_points.pcls");
             let t0 = std::time::Instant::now();
             let pts = parclust_data::gps_like(n, 42);
-            let mut w = ChunkedWriter::<3, _>::create(&p, parclust_data::DEFAULT_CHUNK_LEN)
-                .expect("create chunked file");
-            w.push_all(&pts).expect("write points");
-            w.finish().expect("finish chunked file");
-            println!(
+            let written = ChunkedWriter::<3, _>::create(&p, parclust_data::DEFAULT_CHUNK_LEN)
+                .and_then(|mut w| {
+                    w.push_all(&pts)?;
+                    w.finish()
+                });
+            if let Err(e) = written {
+                CLI.fail(format_args!("write {}: {e}", p.display()));
+            }
+            say!(
                 "generated {n} 3D GeoLife-like points -> {} ({:.1}s)",
                 p.display(),
                 t0.elapsed().as_secs_f64()
@@ -884,7 +957,8 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
             (p, true)
         }
     };
-    let header = chunked_header(&path).expect("readable chunked header");
+    let header = chunked_header(&path)
+        .unwrap_or_else(|e| CLI.fail(format_args!("read {}: {e}", path.display())));
     let ok = match header.dims {
         2 => scale_run::<2>(&path, opts, report),
         3 => scale_run::<3>(&path, opts, report),
@@ -892,7 +966,10 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
         7 => scale_run::<7>(&path, opts, report),
         10 => scale_run::<10>(&path, opts, report),
         16 => scale_run::<16>(&path, opts, report),
-        d => panic!("unsupported point-file dimensionality {d}"),
+        d => CLI.fail(format_args!(
+            "{}: unsupported point-file dimensionality {d}",
+            path.display()
+        )),
     };
     if generated {
         std::fs::remove_file(&path).ok();
@@ -908,9 +985,11 @@ fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut R
     let budget = MemoryBudget::new(opts.max_memory);
 
     let t0 = std::time::Instant::now();
-    let mut reader = ChunkedReader::<D>::open(path).expect("open chunked file");
+    let read_failed =
+        |e: std::io::Error| -> ! { CLI.fail(format_args!("read {}: {e}", path.display())) };
+    let mut reader = ChunkedReader::<D>::open(path).unwrap_or_else(|e| read_failed(e));
     let file_total = reader.total();
-    let pts = collect_points(&mut reader).expect("stream ingestion");
+    let pts = collect_points(&mut reader).unwrap_or_else(|e| read_failed(e));
     let ingest_secs = t0.elapsed().as_secs_f64();
     assert_eq!(pts.len(), file_total, "ingestion must deliver every point");
 
@@ -925,7 +1004,7 @@ fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut R
             fmt_bytes(opts.max_memory)
         );
     }
-    println!(
+    say!(
         "streaming EMST: n={n} dims={D} batch-cap={cap} pairs (fixed est. {})",
         fmt_bytes(fixed)
     );
@@ -935,11 +1014,17 @@ fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut R
     });
     let rss = peak_rss_bytes();
     let within = rss.map(|r| r <= opts.max_memory);
-    println!(
+    say!(
         "{:<22} {:>10} {:>12} {:>10} {:>12} {:>14} {:>12}",
-        "dataset", "ingest(s)", "emst(s)", "batches", "peak pairs", "peak RSS", "in budget"
+        "dataset",
+        "ingest(s)",
+        "emst(s)",
+        "batches",
+        "peak pairs",
+        "peak RSS",
+        "in budget"
     );
-    println!(
+    say!(
         "{:<22} {:>10.2} {:>12} {:>10} {:>12} {:>14} {:>12}",
         format!("{D}D-file"),
         ingest_secs,
@@ -998,7 +1083,7 @@ fn main() {
     }
     let run_all = opts.experiments.iter().any(|e| e == "all");
     let want = |name: &str| run_all || opts.experiments.iter().any(|e| e == name);
-    println!(
+    say!(
         "repro: scale={} reps={} minPts={} max threads={}",
         opts.scale,
         opts.reps,
@@ -1050,19 +1135,16 @@ fn main() {
     }
 
     let out = opts.out_dir.join("repro.json");
-    report.write(&out).expect("write JSON report");
-    println!("\nwrote {} rows to {}", report.rows.len(), out.display());
+    report
+        .write(&out)
+        .unwrap_or_else(|e| CLI.fail(format_args!("write {}: {e}", out.display())));
+    say!("\nwrote {} rows to {}", report.rows.len(), out.display());
 
     if let Some(path) = &opts.trace {
         parclust_obs::trace::disable();
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create trace dir");
-            }
-        }
         let json = parclust_obs::export::drain_chrome_json();
-        std::fs::write(path, &json).expect("write trace");
-        println!(
+        CLI.write_file(path, &json);
+        say!(
             "wrote Chrome trace to {} ({} bytes)",
             path.display(),
             json.len()

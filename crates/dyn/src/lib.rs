@@ -168,12 +168,14 @@ impl<const D: usize> DynamicModel<D> {
     }
 
     /// Reassemble a dynamic model from persisted pieces (an artifact's
-    /// point set + hierarchy). The raw squared k-NN distances are not
-    /// persisted, so they are recomputed here and cross-checked against the
-    /// supplied core distances — a mismatch means the pieces were not built
-    /// by this pipeline over these points.
+    /// point set + hierarchy) and the kd-tree already built over `points`,
+    /// which becomes this version's tree — no second build. The raw squared
+    /// k-NN distances are not persisted, so they are recomputed on `tree`
+    /// and cross-checked against the supplied core distances — a mismatch
+    /// means the pieces were not built by this pipeline over these points.
     pub fn from_parts(
         points: Vec<Point<D>>,
+        tree: KdTree<D>,
         min_pts: usize,
         min_cluster_size: usize,
         cfg: DynConfig,
@@ -189,6 +191,9 @@ impl<const D: usize> DynamicModel<D> {
         if min_pts < 1 {
             return Err("minPts must be at least 1".into());
         }
+        if tree.len() != n {
+            return Err(format!("kd-tree holds {} points, expected {n}", tree.len()));
+        }
         if core_distances.len() != n {
             return Err(format!(
                 "core-distance length {} does not match {n} points",
@@ -201,7 +206,6 @@ impl<const D: usize> DynamicModel<D> {
         if version == 0 {
             return Err("model versions start at 1".into());
         }
-        let tree = KdTree::build(&points);
         let all: Vec<usize> = (0..n).collect();
         let cd_sq = kth_dists_sq(&tree, &points, min_pts, &all);
         let cd: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
@@ -631,8 +635,9 @@ mod tests {
             let tree = m.take_tree().expect("a fresh version holds its tree");
             let want = KdTree::build(m.points());
             assert_eq!(tree.idx, want.idx);
-            assert_eq!(tree.flat_nodes().start, want.flat_nodes().start);
-            assert_eq!(tree.flat_nodes().end, want.flat_nodes().end);
+            for id in 0..want.arena_len() as u32 {
+                assert_eq!(tree.node_range(id), want.node_range(id));
+            }
             assert!(m.take_tree().is_none(), "the tree moves out once");
         };
         let (mut m, builds) = tree_builds(|| DynamicModel::new(&pts, 4, 3, DynConfig::default()));
@@ -653,11 +658,12 @@ mod tests {
         let (_, builds) = tree_builds(|| m.rebuild());
         assert_eq!(builds, 1, "rebuild");
         same_as_fresh_build(&mut m);
+        let tree = KdTree::build(&pts);
         let (back, builds) = tree_builds(|| {
             let (cd, d, c) = parts;
-            DynamicModel::from_parts(pts.clone(), 4, 3, DynConfig::default(), cd, d, c, 1)
+            DynamicModel::from_parts(pts.clone(), tree, 4, 3, DynConfig::default(), cd, d, c, 1)
         });
-        assert_eq!(builds, 1, "from_parts");
+        assert_eq!(builds, 0, "from_parts takes the caller's tree");
         same_as_fresh_build(&mut back.unwrap());
         parclust_obs::trace::disable();
     }
@@ -712,6 +718,7 @@ mod tests {
         let m = DynamicModel::new(&pts, 4, 3, DynConfig::default());
         let back = DynamicModel::from_parts(
             m.points().to_vec(),
+            KdTree::build(m.points()),
             4,
             3,
             DynConfig::default(),
@@ -725,6 +732,7 @@ mod tests {
         // Wrong minPts: the recomputed statistic disagrees.
         assert!(DynamicModel::from_parts(
             m.points().to_vec(),
+            KdTree::build(m.points()),
             5,
             3,
             DynConfig::default(),
@@ -734,6 +742,21 @@ mod tests {
             m.version(),
         )
         .is_err());
+        // A tree over a different point set.
+        let err = DynamicModel::from_parts(
+            m.points().to_vec(),
+            KdTree::build(&m.points()[1..]),
+            4,
+            3,
+            DynConfig::default(),
+            m.core_distances().to_vec(),
+            m.dendrogram().clone(),
+            m.condensed().clone(),
+            m.version(),
+        )
+        .err()
+        .expect("a tree over other points must be rejected");
+        assert!(err.contains("kd-tree holds 59 points"), "{err}");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! # Layout
 //!
 //! Nodes live in **implicit BFS order** in parallel flat arrays
-//! ([`FlatNodes`]): the root is node 0, each BFS level is a contiguous id
+//! (`FlatNodes`): the root is node 0, each BFS level is a contiguous id
 //! range, and children are found by *index arithmetic* instead of stored
 //! pointers. A leaf bitmap (`leaf_words`, one bit per node) plus a per-word
 //! prefix-popcount table gives O(1) rank queries, and the children of the
@@ -44,8 +44,8 @@ pub use knn::{AllKnn, KnnHeap};
 
 /// Node identifier within a [`KdTree`]: the BFS position.
 pub type NodeId = u32;
-/// Marker for "no child" in the pointer-shaped scaffolding ([`PointerNode`]).
-pub const NULL_NODE: NodeId = u32::MAX;
+/// Marker for "no child" in the pointer-shaped build scaffolding.
+const NULL_NODE: NodeId = u32::MAX;
 
 /// Below this subtree size the build recursion runs sequentially.
 const BUILD_GRAIN: usize = 4096;
@@ -58,16 +58,15 @@ const AGG_GRAIN: usize = 1024;
 /// `start..end`, with explicit child ids (`NULL_NODE` for leaves).
 ///
 /// This is **not** the query-time representation: it exists only as the
-/// parallel build's scaffolding arena and as the wire format of version-1
-/// serve artifacts ([`KdTree::from_legacy_parts`]). Both paths immediately
-/// re-layout into the implicit-BFS [`FlatNodes`] arrays.
+/// parallel build's scaffolding arena, which [`KdTree::build`] re-lays-out
+/// into the implicit-BFS [`FlatNodes`] arrays before returning.
 #[derive(Debug, Clone, Copy)]
-pub struct PointerNode<const D: usize> {
-    pub bbox: Aabb<D>,
-    pub start: u32,
-    pub end: u32,
-    pub left: NodeId,
-    pub right: NodeId,
+struct PointerNode<const D: usize> {
+    bbox: Aabb<D>,
+    start: u32,
+    end: u32,
+    left: NodeId,
+    right: NodeId,
 }
 
 impl<const D: usize> Default for PointerNode<D> {
@@ -84,30 +83,25 @@ impl<const D: usize> Default for PointerNode<D> {
 
 impl<const D: usize> PointerNode<D> {
     #[inline]
-    pub fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.left == NULL_NODE
-    }
-
-    #[inline]
-    pub fn size(&self) -> usize {
-        (self.end - self.start) as usize
     }
 }
 
 /// The flat per-node storage of a [`KdTree`], BFS-ordered and
 /// structure-of-arrays: `bbox[id]`/`start[id]`/`end[id]` describe node `id`,
 /// and bit `id` of `leaf_words` marks it as a leaf. Child ids are implicit
-/// (see the crate docs) — there are no pointers to chase or to corrupt.
+/// (see the crate docs) — there are no pointers to chase.
 ///
-/// This is exactly what serve artifacts persist; [`KdTree::from_parts`]
-/// validates one of these into a queryable tree.
-#[derive(Debug, Clone)]
-pub struct FlatNodes<const D: usize> {
-    pub bbox: Vec<Aabb<D>>,
-    pub start: Vec<u32>,
-    pub end: Vec<u32>,
+/// Nothing persists these arrays: the build is deterministic, so a serve
+/// artifact stores only the points and every load runs [`KdTree::build`].
+#[derive(Debug)]
+struct FlatNodes<const D: usize> {
+    bbox: Vec<Aabb<D>>,
+    start: Vec<u32>,
+    end: Vec<u32>,
     /// Leaf bitmap: bit `id % 64` of word `id / 64` is set iff `id` is a leaf.
-    pub leaf_words: Vec<u64>,
+    leaf_words: Vec<u64>,
 }
 
 /// Per-word prefix popcounts of a leaf bitmap (`table[w]` = leaves strictly
@@ -122,16 +116,6 @@ fn leaf_rank_table(words: &[u64]) -> Vec<u32> {
             r
         })
         .collect()
-}
-
-/// Number of leaves among nodes `[0, i)`; `i` may equal the node count.
-#[inline]
-fn rank_at(words: &[u64], table: &[u32], i: u32) -> u32 {
-    let w = (i >> 6) as usize;
-    if w == words.len() {
-        return table.last().copied().unwrap_or(0) + words.last().map_or(0, |x| x.count_ones());
-    }
-    table[w] + (words[w] & ((1u64 << (i & 63)) - 1)).count_ones()
 }
 
 /// Parallel spatial-median kd-tree over a point set.
@@ -165,207 +149,7 @@ impl<const D: usize> KdTree<D> {
         let mut idx: Vec<u32> = (0..n as u32).collect();
         let mut arena: Vec<PointerNode<D>> = vec![PointerNode::default(); 2 * n - 1];
         build_recurse(&mut points, &mut idx, &mut arena, 0, 0);
-        relayout(points, idx, &arena).expect("freshly built arena is always a valid tree")
-    }
-
-    /// Reassemble a tree from previously serialized parts (e.g. a
-    /// `parclust-serve` model artifact) without re-running the parallel
-    /// build. `points` are the *permuted* points (tree order, AoS — they are
-    /// transposed into SoA blocks here), `idx` maps permuted position to
-    /// original index, and `nodes` holds the BFS-ordered flat arrays.
-    ///
-    /// Validates the structural invariants the query paths rely on (array
-    /// lengths, the leaf bitmap's consistency with the implicit-BFS child
-    /// arithmetic, child ranges partitioning their parent, singleton leaves,
-    /// `idx` a permutation); returns `Err` with a description on the first
-    /// violation so corrupted artifacts are rejected instead of causing
-    /// panics or wrong answers deep inside a traversal.
-    pub fn from_parts(
-        points: Vec<Point<D>>,
-        idx: Vec<u32>,
-        nodes: FlatNodes<D>,
-    ) -> Result<Self, String> {
-        let n = points.len();
-        if n == 0 {
-            return Err("tree must hold at least one point".into());
-        }
-        if idx.len() != n {
-            return Err(format!("idx length {} != point count {n}", idx.len()));
-        }
-        let len = 2 * n - 1;
-        if nodes.bbox.len() != len || nodes.start.len() != len || nodes.end.len() != len {
-            return Err(format!(
-                "arena length {}/{}/{} != 2n-1 = {len}",
-                nodes.bbox.len(),
-                nodes.start.len(),
-                nodes.end.len()
-            ));
-        }
-        if nodes.leaf_words.len() != len.div_ceil(64) {
-            return Err(format!(
-                "leaf bitmap has {} words, expected {}",
-                nodes.leaf_words.len(),
-                len.div_ceil(64)
-            ));
-        }
-        let tail_bits = len % 64;
-        if tail_bits != 0 && nodes.leaf_words[len / 64] >> tail_bits != 0 {
-            return Err("leaf bitmap has bits beyond the arena".into());
-        }
-        let leaves: u32 = nodes.leaf_words.iter().map(|w| w.count_ones()).sum();
-        if leaves as usize != n {
-            return Err(format!("leaf bitmap marks {leaves} leaves, expected {n}"));
-        }
-        let mut seen = vec![false; n];
-        for &i in &idx {
-            match seen.get_mut(i as usize) {
-                Some(s) if !*s => *s = true,
-                _ => return Err(format!("idx is not a permutation (index {i})")),
-            }
-        }
-
-        let leaf_rank = leaf_rank_table(&nodes.leaf_words);
-
-        // Derive the BFS level boundaries from the bitmap: each level's
-        // internal nodes contribute exactly two children to the next.
-        let mut level_off: Vec<u32> = vec![0, 1];
-        loop {
-            let lvl = level_off.len() - 2;
-            let (a, b) = (level_off[lvl], level_off[lvl + 1]);
-            let level_leaves = rank_at(&nodes.leaf_words, &leaf_rank, b)
-                - rank_at(&nodes.leaf_words, &leaf_rank, a);
-            let internal = (b - a) - level_leaves;
-            if internal == 0 {
-                break;
-            }
-            let next = b as u64 + 2 * internal as u64;
-            if next > len as u64 {
-                return Err("leaf bitmap is inconsistent with the arena size".into());
-            }
-            level_off.push(next as u32);
-        }
-        if *level_off.last().expect("non-empty") as usize != len {
-            return Err("leaf bitmap leaves unreachable trailing nodes".into());
-        }
-
-        let tree = KdTree {
-            block: PointBlock::from_points(&points),
-            idx,
-            nodes,
-            leaf_rank,
-            level_off,
-            original_points: std::sync::OnceLock::new(),
-        };
-
-        // Per-node structural checks: valid singleton-leaf ranges, children
-        // partitioning their parent's range.
-        if tree.nodes.start[0] != 0 || tree.nodes.end[0] as usize != n {
-            return Err("root range must cover all points".into());
-        }
-        for id in 0..len as NodeId {
-            let (s, e) = (tree.nodes.start[id as usize], tree.nodes.end[id as usize]);
-            if s >= e || e as usize > n {
-                return Err(format!("node {id} has invalid range {s}..{e}"));
-            }
-            if tree.is_leaf(id) {
-                if e - s != 1 {
-                    return Err(format!("leaf {id} covers {} points (must be 1)", e - s));
-                }
-            } else {
-                let (l, r) = tree.children(id);
-                if r as usize >= len {
-                    return Err(format!("node {id} has out-of-bounds children"));
-                }
-                if l <= id {
-                    return Err(format!("node {id} is its own ancestor (child {l})"));
-                }
-                let (ls, le) = (tree.nodes.start[l as usize], tree.nodes.end[l as usize]);
-                let (rs, re) = (tree.nodes.start[r as usize], tree.nodes.end[r as usize]);
-                if ls != s || le != rs || re != e {
-                    return Err(format!("children of node {id} do not partition its range"));
-                }
-            }
-        }
-        Ok(tree)
-    }
-
-    /// Reassemble a tree from a pointer-shaped arena — the version-1 serve
-    /// artifact layout (per-node `left`/`right` ids, root at slot 0). The
-    /// arena is validated with the same invariant walk the old in-memory
-    /// representation used, then re-laid-out into BFS order.
-    pub fn from_legacy_parts(
-        points: Vec<Point<D>>,
-        idx: Vec<u32>,
-        nodes: Vec<PointerNode<D>>,
-    ) -> Result<Self, String> {
-        let n = points.len();
-        if n == 0 {
-            return Err("tree must hold at least one point".into());
-        }
-        if idx.len() != n {
-            return Err(format!("idx length {} != point count {n}", idx.len()));
-        }
-        if nodes.len() != 2 * n - 1 {
-            return Err(format!(
-                "arena length {} != 2n-1 = {}",
-                nodes.len(),
-                2 * n - 1
-            ));
-        }
-        let mut seen = vec![false; n];
-        for &i in &idx {
-            match seen.get_mut(i as usize) {
-                Some(s) if !*s => *s = true,
-                _ => return Err(format!("idx is not a permutation (index {i})")),
-            }
-        }
-        // Walk from the root: every node's range must be inside the parent's
-        // and children must partition it; every leaf must be a singleton.
-        let mut stack: Vec<NodeId> = vec![0];
-        let mut covered = 0usize;
-        let mut visited = 0usize;
-        while let Some(id) = stack.pop() {
-            visited += 1;
-            if visited > nodes.len() {
-                // A node reachable via two parents (the arena encodes a DAG
-                // or cycle, not a tree) revisits slots; bail out rather than
-                // looping.
-                return Err("arena is not a tree (node visited twice)".into());
-            }
-            let node = nodes
-                .get(id as usize)
-                .ok_or_else(|| format!("node id {id} out of arena bounds"))?;
-            if node.start >= node.end || node.end as usize > n {
-                return Err(format!(
-                    "node {id} has invalid range {}..{}",
-                    node.start, node.end
-                ));
-            }
-            if node.is_leaf() {
-                if node.size() != 1 {
-                    return Err(format!(
-                        "leaf {id} covers {} points (must be 1)",
-                        node.size()
-                    ));
-                }
-                covered += 1;
-                continue;
-            }
-            let (l, r) = (node.left, node.right);
-            if l as usize >= nodes.len() || r as usize >= nodes.len() {
-                return Err(format!("node {id} has out-of-bounds children"));
-            }
-            let (ln, rn) = (&nodes[l as usize], &nodes[r as usize]);
-            if ln.start != node.start || ln.end != rn.start || rn.end != node.end {
-                return Err(format!("children of node {id} do not partition its range"));
-            }
-            stack.push(l);
-            stack.push(r);
-        }
-        if covered != n {
-            return Err(format!("leaves cover {covered} points, expected {n}"));
-        }
-        relayout(points, idx, &nodes)
+        relayout(points, idx, &arena)
     }
 
     /// The root node: always id 0 in BFS order.
@@ -469,12 +253,6 @@ impl<const D: usize> KdTree<D> {
         self.point(u as usize).dist(&self.point(v as usize))
     }
 
-    /// The flat node arrays (for serialization).
-    #[inline]
-    pub fn flat_nodes(&self) -> &FlatNodes<D> {
-        &self.nodes
-    }
-
     /// Original indices of the points covered by `node`.
     #[inline]
     pub fn node_point_ids(&self, id: NodeId) -> &[u32] {
@@ -531,15 +309,13 @@ impl<const D: usize> KdTree<D> {
     }
 }
 
-/// BFS re-layout of a pointer-shaped arena (all slots reachable from slot 0)
-/// into the implicit flat representation. `Err` if the arena's reachable
-/// node count disagrees with its length — callers validating untrusted input
-/// check everything else first.
+/// BFS re-layout of a freshly built pointer-shaped arena (every slot
+/// reachable from slot 0) into the implicit flat representation.
 fn relayout<const D: usize>(
     points: Vec<Point<D>>,
     idx: Vec<u32>,
     arena: &[PointerNode<D>],
-) -> Result<KdTree<D>, String> {
+) -> KdTree<D> {
     let len = arena.len();
     let mut nodes = FlatNodes {
         bbox: Vec::with_capacity(len),
@@ -554,9 +330,6 @@ fn relayout<const D: usize>(
         for &old in &frontier {
             let node = &arena[old as usize];
             let new_id = nodes.bbox.len();
-            if new_id >= len {
-                return Err("arena is not a tree (too many reachable nodes)".into());
-            }
             nodes.bbox.push(node.bbox);
             nodes.start.push(node.start);
             nodes.end.push(node.end);
@@ -571,21 +344,16 @@ fn relayout<const D: usize>(
         std::mem::swap(&mut frontier, &mut next);
         next.clear();
     }
-    if nodes.bbox.len() != len {
-        return Err(format!(
-            "arena has {} unreachable slots",
-            len - nodes.bbox.len()
-        ));
-    }
+    debug_assert_eq!(nodes.bbox.len(), len, "every arena slot is reachable");
     let leaf_rank = leaf_rank_table(&nodes.leaf_words);
-    Ok(KdTree {
+    KdTree {
         block: PointBlock::from_points(&points),
         idx,
         nodes,
         leaf_rank,
         level_off,
         original_points: std::sync::OnceLock::new(),
-    })
+    }
 }
 
 /// Recursive parallel build over `points[..]`/`idx[..]` (absolute point
@@ -832,117 +600,6 @@ mod tests {
                 stack.push(r);
             }
         }
-    }
-
-    #[test]
-    fn from_parts_roundtrips_and_answers_queries() {
-        let pts = random_points::<3>(2_000, 8);
-        let built = KdTree::build(&pts);
-        let permuted: Vec<Point<3>> = (0..built.len()).map(|i| built.point(i)).collect();
-        let re = KdTree::from_parts(permuted, built.idx.clone(), built.flat_nodes().clone())
-            .expect("valid parts");
-        check_tree_invariants(&re);
-        // Queries against the reassembled tree match the original.
-        for q in pts.iter().step_by(97) {
-            assert_eq!(built.knn(q, 5), re.knn(q, 5));
-        }
-    }
-
-    #[test]
-    fn from_parts_rejects_corrupt_arenas() {
-        let pts = random_points::<2>(64, 9);
-        let t = KdTree::build(&pts);
-        let permuted: Vec<Point<2>> = (0..t.len()).map(|i| t.point(i)).collect();
-        let nodes = t.flat_nodes().clone();
-        // Wrong arena length.
-        let mut short = nodes.clone();
-        short.bbox.truncate(5);
-        short.start.truncate(5);
-        short.end.truncate(5);
-        assert!(KdTree::from_parts(permuted.clone(), t.idx.clone(), short).is_err());
-        // idx not a permutation.
-        let mut bad_idx = t.idx.clone();
-        bad_idx[0] = bad_idx[1];
-        assert!(KdTree::from_parts(permuted.clone(), bad_idx, nodes.clone()).is_err());
-        // Child range corruption.
-        let mut bad_nodes = nodes.clone();
-        let (root_left, _) = t.children(t.root());
-        bad_nodes.end[root_left as usize] += 1;
-        assert!(KdTree::from_parts(permuted.clone(), t.idx.clone(), bad_nodes).is_err());
-        // Leaf bitmap corruption: marking an internal node as a leaf breaks
-        // either the leaf count or the child arithmetic.
-        let mut bad_bits = nodes.clone();
-        bad_bits.leaf_words[0] |= 1; // root of a 64-point tree is internal
-        assert!(KdTree::from_parts(permuted.clone(), t.idx.clone(), bad_bits).is_err());
-        // All-zero bitmap (no leaves at all).
-        let mut no_leaves = nodes.clone();
-        no_leaves.leaf_words.iter_mut().for_each(|w| *w = 0);
-        assert!(KdTree::from_parts(permuted.clone(), t.idx.clone(), no_leaves).is_err());
-        // Empty tree.
-        let empty = FlatNodes::<2> {
-            bbox: Vec::new(),
-            start: Vec::new(),
-            end: Vec::new(),
-            leaf_words: Vec::new(),
-        };
-        assert!(KdTree::<2>::from_parts(Vec::new(), Vec::new(), empty).is_err());
-    }
-
-    #[test]
-    fn legacy_parts_roundtrip_and_rejection() {
-        let pts = random_points::<2>(200, 10);
-        let t = KdTree::build(&pts);
-        // Rebuild a pointer arena in preorder (distinct from the BFS ids) by
-        // walking the flat tree, then reassemble through the legacy path.
-        let mut arena: Vec<PointerNode<2>> = vec![PointerNode::default(); t.arena_len()];
-        let mut next_slot = 0u32;
-        fn emit<const D: usize>(
-            t: &KdTree<D>,
-            id: NodeId,
-            arena: &mut Vec<PointerNode<D>>,
-            next: &mut u32,
-        ) -> u32 {
-            let slot = *next;
-            *next += 1;
-            if t.is_leaf(id) {
-                arena[slot as usize] = PointerNode {
-                    bbox: *t.bbox(id),
-                    start: t.node_start(id),
-                    end: t.node_end(id),
-                    left: NULL_NODE,
-                    right: NULL_NODE,
-                };
-            } else {
-                let (l, r) = t.children(id);
-                let ls = emit(t, l, arena, next);
-                let rs = emit(t, r, arena, next);
-                arena[slot as usize] = PointerNode {
-                    bbox: *t.bbox(id),
-                    start: t.node_start(id),
-                    end: t.node_end(id),
-                    left: ls,
-                    right: rs,
-                };
-            }
-            slot
-        }
-        emit(&t, t.root(), &mut arena, &mut next_slot);
-        let permuted: Vec<Point<2>> = (0..t.len()).map(|i| t.point(i)).collect();
-        let re = KdTree::from_legacy_parts(permuted.clone(), t.idx.clone(), arena.clone())
-            .expect("valid legacy arena");
-        check_tree_invariants(&re);
-        for q in pts.iter().step_by(11) {
-            assert_eq!(t.knn(q, 4), re.knn(q, 4));
-        }
-        // Cycle: root points at itself.
-        let mut cyc = arena.clone();
-        cyc[0].left = 0;
-        assert!(KdTree::from_legacy_parts(permuted.clone(), t.idx.clone(), cyc).is_err());
-        // Child range corruption.
-        let mut bad = arena.clone();
-        let rl = bad[0].left as usize;
-        bad[rl].end += 1;
-        assert!(KdTree::from_legacy_parts(permuted, t.idx.clone(), bad).is_err());
     }
 
     #[test]

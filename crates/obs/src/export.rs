@@ -146,6 +146,9 @@ mod tests {
 
     #[test]
     fn spans_drain_in_time_order_with_args() {
+        let _flag = crate::trace::TEST_FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         crate::trace::enable();
         {
             let _outer = crate::span!("test.outer");
@@ -205,6 +208,9 @@ mod tests {
 
     #[test]
     fn multithreaded_spans_get_distinct_tids() {
+        let _flag = crate::trace::TEST_FLAG_LOCK
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
         crate::trace::enable();
         std::thread::scope(|s| {
             for _ in 0..2 {

@@ -275,12 +275,19 @@ macro_rules! __span_at {
     }};
 }
 
+/// Serializes the unit tests that flip the process-wide [`ENABLED`] flag:
+/// the test harness runs them on parallel threads, and one test's
+/// `disable` must not land inside another's enabled window.
+#[cfg(test)]
+pub(crate) static TEST_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _flag = TEST_FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         disable();
         let before: u64 = rings()
             .lock()

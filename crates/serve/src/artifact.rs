@@ -1,16 +1,14 @@
 //! The clustering-model artifact: a versioned little-endian binary format
-//! bundling everything a query server needs — the point set, the kd-tree,
-//! the per-point core distances, the HDBSCAN\* dendrogram, and the
-//! condensed cluster tree — so one expensive hierarchy build can answer
-//! arbitrarily many cheap queries across process restarts.
+//! bundling what a query server needs — the point set, the per-point core
+//! distances, the HDBSCAN\* dendrogram, and the condensed cluster tree — so
+//! one expensive hierarchy build can answer arbitrarily many cheap queries
+//! across process restarts.
 //!
-//! Layout (version 2, all little-endian, built on `parclust_data::io::le`):
+//! Layout (version 3, all little-endian, built on `parclust_data::io::le`):
 //!
 //! ```text
 //! "PCSM" | version u32 | dims u32 | n u64 | min_pts u64 | min_cluster_size u64
 //! points           n·D f64            (original order)
-//! kd-tree          idx u32[],  arena u64 + per-node {bbox 2·D f64, start,
-//!                  end}, leaf bitmap u64 + u64[]   (implicit-BFS flat tree)
 //! core distances   f64[]
 //! dendrogram       start u32, root u32, edge_u u32[], edge_v u32[],
 //!                  height f64[], left u32[], right u32[], parent u32[],
@@ -20,21 +18,27 @@
 //! checksum         FNV-1a 64 of every preceding byte
 //! ```
 //!
-//! Version 2 replaced the per-node `left`/`right` child pointers of
-//! version 1 with the implicit-BFS layout: nodes are stored in BFS order
-//! and a leaf bitmap drives the child index arithmetic (see
-//! `parclust_kdtree`). Version-1 artifacts still load — the reader parses
-//! the pointer-shaped arena and re-lays it out via
-//! [`KdTree::from_legacy_parts`]; new artifacts are always written as
-//! version 2.
+//! **Derived on load:** the kd-tree. [`KdTree::build`] is deterministic
+//! (bit-identical at every pool width), so loading rebuilds it from the
+//! points in O(n log n) work instead of reading it back — the tree was more
+//! than half of the bytes per point of the tree-carrying version 2. The
+//! condensed tree stays stored: its 12 bytes per point are cheaper than
+//! condensing the dendrogram again on every load.
+//!
+//! **Validated on load:** the checksum, the magic, the version, the
+//! dimensionality, a non-zero point count, every section length against
+//! `n`, the dendrogram's root/start/edge endpoints/child ids in range, the
+//! condensed tree's point clusters in range and parents preceding children,
+//! and no trailing bytes.
 //!
 //! Versioning contract: the magic and `version` field come first and are
-//! checked before anything else is parsed; readers reject unknown versions
-//! instead of guessing. Any layout change bumps `FORMAT_VERSION`. The
-//! trailing checksum (plus structural validation on load, including
-//! [`parclust_kdtree::KdTree::from_parts`]'s invariant walk) turns
-//! truncated or bit-flipped files into clean `InvalidData` errors rather
-//! than panics or silently wrong query answers.
+//! checked before anything else is parsed; readers accept exactly
+//! [`FORMAT_VERSION`] and answer anything else — including the older
+//! tree-carrying versions 1 and 2 — with one `InvalidData` error that names
+//! the found version and says to rebuild with `serve build`. Any layout
+//! change bumps `FORMAT_VERSION`. The trailing checksum and the section
+//! checks turn truncated or bit-flipped files into clean `InvalidData`
+//! errors rather than panics or silently wrong query answers.
 
 use parclust::{
     condense_tree, core_distances_on_tree, dendrogram_par, hdbscan_mst_on_tree, CondensedTree,
@@ -42,19 +46,28 @@ use parclust::{
 };
 use parclust_data::io::{collect_points, le, PointSource};
 use parclust_geom::{Aabb, Point};
-use parclust_kdtree::{FlatNodes, KdTree, PointerNode};
+use parclust_kdtree::KdTree;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// Artifact magic: "ParClust Serving Model".
 pub const MAGIC: &[u8; 4] = b"PCSM";
-/// Current artifact format version (2: implicit-BFS flat kd-tree).
-pub const FORMAT_VERSION: u32 = 2;
-/// Oldest artifact format version the reader still migrates on load.
-pub const MIN_READ_VERSION: u32 = 1;
+/// Current artifact format version (3: the kd-tree is rebuilt on load).
+pub const FORMAT_VERSION: u32 = 3;
 
 fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
+}
+
+/// The one version check every artifact reader runs.
+fn check_version(version: u32) -> io::Result<()> {
+    if version == FORMAT_VERSION {
+        return Ok(());
+    }
+    Err(bad(format!(
+        "unsupported artifact version {version} (this build reads version \
+         {FORMAT_VERSION} only); rebuild the model with `serve build`"
+    )))
 }
 
 /// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption check.
@@ -226,25 +239,6 @@ impl<const D: usize> ClusterModel<D> {
                 le::write_f64(w, c)?;
             }
         }
-        // kd-tree: the permuted point copy is reconstructed from points +
-        // idx on load, so only idx and the flat BFS arrays are stored.
-        le::write_u32_slice(w, &self.tree.idx)?;
-        let nodes = self.tree.flat_nodes();
-        le::write_u64(w, nodes.bbox.len() as u64)?;
-        for id in 0..nodes.bbox.len() {
-            for &c in nodes.bbox[id].lo.coords() {
-                le::write_f64(w, c)?;
-            }
-            for &c in nodes.bbox[id].hi.coords() {
-                le::write_f64(w, c)?;
-            }
-            le::write_u32(w, nodes.start[id])?;
-            le::write_u32(w, nodes.end[id])?;
-        }
-        le::write_u64(w, nodes.leaf_words.len() as u64)?;
-        for &word in &nodes.leaf_words {
-            le::write_u64(w, word)?;
-        }
         le::write_f64_slice(w, &self.core_distances)?;
         let d = &self.dendrogram;
         le::write_u32(w, d.start)?;
@@ -284,13 +278,15 @@ impl<const D: usize> ClusterModel<D> {
     }
 
     /// Load an artifact written by [`ClusterModel::save`], validating the
-    /// magic, version, dimensionality, checksum, and structural invariants.
+    /// magic, version, dimensionality, checksum, and section invariants,
+    /// and rebuilding the kd-tree from the points.
     pub fn load(path: &Path) -> io::Result<Self> {
         let bytes = std::fs::read(path)?;
         Self::from_bytes(&bytes)
     }
 
-    /// Parse an artifact from bytes (checksum included).
+    /// Parse an artifact from bytes (checksum included) and rebuild its
+    /// kd-tree.
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
         if bytes.len() < MAGIC.len() + 8 {
             return Err(bad("artifact too short"));
@@ -306,13 +302,7 @@ impl<const D: usize> ClusterModel<D> {
         if &magic != MAGIC {
             return Err(bad("bad artifact magic"));
         }
-        let version = le::read_u32(&mut r)?;
-        if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(bad(format!(
-                "unsupported artifact version {version} \
-                 (this build reads {MIN_READ_VERSION}..={FORMAT_VERSION})"
-            )));
-        }
+        check_version(le::read_u32(&mut r)?)?;
         let dims = le::read_u32(&mut r)?;
         if dims as usize != D {
             return Err(bad(format!("artifact has {dims} dims, expected {D}")));
@@ -331,85 +321,6 @@ impl<const D: usize> ClusterModel<D> {
             }
             points.push(Point(c));
         }
-        let idx = le::read_u32_vec(&mut r)?;
-        if idx.len() != n {
-            return Err(bad("kd-tree idx length mismatch"));
-        }
-        let arena_len = le::read_u64(&mut r)? as usize;
-        if arena_len != 2 * n - 1 {
-            return Err(bad("kd-tree arena length mismatch"));
-        }
-        let read_bbox = |r: &mut &[u8]| -> io::Result<Aabb<D>> {
-            let mut lo = [0.0; D];
-            let mut hi = [0.0; D];
-            for slot in lo.iter_mut() {
-                *slot = le::read_f64(r)?;
-            }
-            for slot in hi.iter_mut() {
-                *slot = le::read_f64(r)?;
-            }
-            Ok(Aabb {
-                lo: Point(lo),
-                hi: Point(hi),
-            })
-        };
-        // Permuted copy: position i holds the point whose original index is
-        // idx[i] (validated as a permutation by the tree reassembly).
-        let permuted = |idx: &[u32]| -> io::Result<Vec<Point<D>>> {
-            idx.iter()
-                .map(|&o| {
-                    points
-                        .get(o as usize)
-                        .copied()
-                        .ok_or_else(|| bad("kd-tree idx out of range"))
-                })
-                .collect()
-        };
-        let tree = if version >= 2 {
-            // Implicit-BFS flat arrays: bbox/start/end per node + leaf bitmap.
-            let mut nodes = FlatNodes {
-                bbox: Vec::with_capacity(arena_len.min(1 << 20)),
-                start: Vec::with_capacity(arena_len.min(1 << 20)),
-                end: Vec::with_capacity(arena_len.min(1 << 20)),
-                leaf_words: Vec::new(),
-            };
-            for _ in 0..arena_len {
-                nodes.bbox.push(read_bbox(&mut r)?);
-                nodes.start.push(le::read_u32(&mut r)?);
-                nodes.end.push(le::read_u32(&mut r)?);
-            }
-            let words = le::read_u64(&mut r)? as usize;
-            if words != arena_len.div_ceil(64) {
-                return Err(bad("kd-tree leaf bitmap length mismatch"));
-            }
-            nodes.leaf_words.reserve_exact(words);
-            for _ in 0..words {
-                nodes.leaf_words.push(le::read_u64(&mut r)?);
-            }
-            KdTree::from_parts(permuted(&idx)?, idx, nodes)
-                .map_err(|e| bad(format!("kd-tree validation failed: {e}")))?
-        } else {
-            // Version 1: pointer-shaped arena; validate and migrate to the
-            // flat layout.
-            let mut nodes = Vec::with_capacity(arena_len.min(1 << 20));
-            for _ in 0..arena_len {
-                let bbox = read_bbox(&mut r)?;
-                let start = le::read_u32(&mut r)?;
-                let end = le::read_u32(&mut r)?;
-                let left = le::read_u32(&mut r)?;
-                let right = le::read_u32(&mut r)?;
-                nodes.push(PointerNode {
-                    bbox,
-                    start,
-                    end,
-                    left,
-                    right,
-                });
-            }
-            KdTree::from_legacy_parts(permuted(&idx)?, idx, nodes)
-                .map_err(|e| bad(format!("kd-tree validation failed: {e}")))?
-        };
-
         let core_distances = le::read_f64_vec(&mut r)?;
         if core_distances.len() != n {
             return Err(bad("core-distance length mismatch"));
@@ -494,6 +405,7 @@ impl<const D: usize> ClusterModel<D> {
             point_cluster,
             point_lambda,
         };
+        let tree = KdTree::build(&points);
         Ok(ClusterModel {
             min_pts,
             min_cluster_size,
@@ -516,10 +428,7 @@ pub fn peek_dims(path: &Path) -> io::Result<usize> {
     if &head[0..4] != MAGIC {
         return Err(bad("bad artifact magic"));
     }
-    let version = u32::from_le_bytes(head[4..8].try_into().unwrap());
-    if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
-        return Err(bad(format!("unsupported artifact version {version}")));
-    }
+    check_version(u32::from_le_bytes(head[4..8].try_into().unwrap()))?;
     Ok(u32::from_le_bytes(head[8..12].try_into().unwrap()) as usize)
 }
 
@@ -618,19 +527,74 @@ mod tests {
         let mut bad_magic = bytes.clone();
         bad_magic[0] ^= 0xff;
         assert!(ClusterModel::<2>::from_bytes(&bad_magic).is_err());
-        // Unknown version — recompute the checksum so versioning (not the
-        // checksum) is what rejects the file.
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 99;
-        let plen = bad_version.len() - 8;
-        let sum = fnv1a64(&bad_version[..plen]).to_le_bytes();
-        bad_version[plen..].copy_from_slice(&sum);
-        let err = match ClusterModel::<2>::from_bytes(&bad_version) {
-            Err(e) => e,
-            Ok(_) => panic!("unknown version must be rejected"),
-        };
-        assert!(err.to_string().contains("version"), "{err}");
+        // The tree-carrying versions 1 and 2 and an unknown version 99 —
+        // patch the version word and recompute the checksum so versioning
+        // (not the checksum) is what rejects the file, in both readers.
+        for version in [1u32, 2, 99] {
+            let old = with_version(&bytes, version);
+            let err = match ClusterModel::<2>::from_bytes(&old) {
+                Err(e) => e,
+                Ok(_) => panic!("version {version} must be rejected"),
+            };
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("artifact version {version} ")),
+                "{msg}"
+            );
+            assert!(
+                msg.contains("rebuild the model with `serve build`"),
+                "{msg}"
+            );
+            std::fs::write(&path, &old).unwrap();
+            assert_eq!(peek_dims(&path).unwrap_err().to_string(), msg);
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `bytes` with its version word set to `version` and the checksum
+    /// recomputed.
+    fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
+        let mut out = bytes.to_vec();
+        out[4..8].copy_from_slice(&version.to_le_bytes());
+        let plen = out.len() - 8;
+        let sum = fnv1a64(&out[..plen]).to_le_bytes();
+        out[plen..].copy_from_slice(&sum);
+        out
+    }
+
+    /// The version-3 size in closed form: header, then per section its
+    /// `u64` length prefixes and elements, then the checksum. Nothing in it
+    /// scales with a kd-tree.
+    fn v3_wire_len(n: usize, dims: usize, clusters: usize) -> usize {
+        let (m, nodes) = (n - 1, 2 * n - 1);
+        let header = 4 + 4 + 4 + 8 + 8 + 8;
+        let points = 8 * n * dims;
+        let core_distances = 8 + 8 * n;
+        let dendrogram = 4 + 4 + 5 * 8 + m * (4 + 4 + 8 + 4 + 4) + (8 + 4 * nodes) + (8 + 4 * n);
+        let condensed = 4 * 8 + clusters * (4 + 8 + 8 + 4) + 2 * 8 + n * (4 + 8);
+        header + points + core_distances + dendrogram + condensed + 8
+    }
+
+    #[test]
+    fn wire_size_matches_the_closed_form() {
+        fn check<const D: usize>(n: usize, seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let pts: Vec<Point<D>> = (0..n)
+                .map(|_| Point(std::array::from_fn(|_| rng.gen_range(-10.0..10.0))))
+                .collect();
+            let model = ClusterModel::build(&pts, 4, 5);
+            let clusters = model.condensed.num_clusters();
+            assert_eq!(
+                model.to_bytes().unwrap().len(),
+                v3_wire_len(n, D, clusters),
+                "n={n} D={D} clusters={clusters}"
+            );
+        }
+        check::<2>(1, 1);
+        check::<2>(300, 2);
+        check::<3>(257, 3);
+        check::<7>(120, 4);
     }
 
     #[test]
@@ -657,105 +621,6 @@ mod tests {
         let empty: Vec<Point<2>> = Vec::new();
         let mut src = parclust_data::SliceSource::new(&empty, 8);
         assert!(ClusterModel::<2>::build_from_source(&mut src, 4, 6, None).is_err());
-    }
-
-    /// Serialize `model` in the version-1 wire format (pointer-shaped
-    /// kd-tree arena), checksum included. The pointer arena is derived from
-    /// the flat tree: BFS order is a valid legacy node order (root at 0),
-    /// and leaves get `NULL_NODE` children.
-    fn v1_bytes(model: &ClusterModel<2>) -> Vec<u8> {
-        use parclust_kdtree::NULL_NODE;
-        let n = model.points.len();
-        let mut buf = Vec::new();
-        let w = &mut buf;
-        w.extend_from_slice(MAGIC);
-        le::write_u32(w, 1).unwrap();
-        le::write_u32(w, 2).unwrap();
-        le::write_u64(w, n as u64).unwrap();
-        le::write_u64(w, model.min_pts as u64).unwrap();
-        le::write_u64(w, model.min_cluster_size as u64).unwrap();
-        for p in &model.points {
-            for &c in p.coords() {
-                le::write_f64(w, c).unwrap();
-            }
-        }
-        le::write_u32_slice(w, &model.tree.idx).unwrap();
-        let arena_len = model.tree.arena_len();
-        le::write_u64(w, arena_len as u64).unwrap();
-        for id in 0..arena_len as u32 {
-            let bbox = model.tree.bbox(id);
-            for &c in bbox.lo.coords() {
-                le::write_f64(w, c).unwrap();
-            }
-            for &c in bbox.hi.coords() {
-                le::write_f64(w, c).unwrap();
-            }
-            le::write_u32(w, model.tree.node_start(id)).unwrap();
-            le::write_u32(w, model.tree.node_end(id)).unwrap();
-            if model.tree.is_leaf(id) {
-                le::write_u32(w, NULL_NODE).unwrap();
-                le::write_u32(w, NULL_NODE).unwrap();
-            } else {
-                let (l, r) = model.tree.children(id);
-                le::write_u32(w, l).unwrap();
-                le::write_u32(w, r).unwrap();
-            }
-        }
-        le::write_f64_slice(w, &model.core_distances).unwrap();
-        let d = &model.dendrogram;
-        le::write_u32(w, d.start).unwrap();
-        le::write_u32(w, d.root).unwrap();
-        le::write_u32_slice(w, &d.edge_u).unwrap();
-        le::write_u32_slice(w, &d.edge_v).unwrap();
-        le::write_f64_slice(w, &d.height).unwrap();
-        le::write_u32_slice(w, &d.left).unwrap();
-        le::write_u32_slice(w, &d.right).unwrap();
-        le::write_u32_slice(w, &d.parent).unwrap();
-        le::write_u32_slice(w, &d.vertex_dist).unwrap();
-        let ct = &model.condensed;
-        le::write_u32_slice(w, &ct.parent).unwrap();
-        le::write_f64_slice(w, &ct.birth_lambda).unwrap();
-        le::write_f64_slice(w, &ct.stability).unwrap();
-        le::write_u32_slice(w, &ct.size).unwrap();
-        le::write_u32_slice(w, &ct.point_cluster).unwrap();
-        le::write_f64_slice(w, &ct.point_lambda).unwrap();
-        let sum = fnv1a64(&buf);
-        le::write_u64(&mut buf, sum).unwrap();
-        buf
-    }
-
-    #[test]
-    fn version1_artifact_migrates_on_load() {
-        let pts = blobs2(80, 11);
-        let model = ClusterModel::build(&pts, 4, 8);
-        let legacy = v1_bytes(&model);
-        let back = ClusterModel::<2>::from_bytes(&legacy).unwrap();
-        assert_eq!(back.points, model.points);
-        assert_eq!(back.tree.idx, model.tree.idx);
-        assert_eq!(back.core_distances, model.core_distances);
-        assert_eq!(back.dendrogram.parent, model.dendrogram.parent);
-        assert_eq!(back.condensed.point_cluster, model.condensed.point_cluster);
-        // The migrated tree answers identical queries — BFS relayout of a
-        // BFS-ordered arena is the identity, so even node ids line up.
-        for q in pts.iter().step_by(13) {
-            assert_eq!(back.tree.knn(q, 4), model.tree.knn(q, 4));
-        }
-        // A v1 arena with a cycle (node pointing at itself) is rejected by
-        // the legacy validation walk, not a hang or panic.
-        let mut cyclic = v1_bytes(&model);
-        let arena_off = 36 + pts.len() * 16 + 8 + pts.len() * 4 + 8;
-        let node_bytes = 2 * 2 * 8 + 16; // bbox + start/end/left/right
-                                         // Find an internal node and point its left child at itself.
-        let root_left = arena_off + node_bytes - 8;
-        cyclic[root_left..root_left + 4].copy_from_slice(&0u32.to_le_bytes());
-        let plen = cyclic.len() - 8;
-        let sum = fnv1a64(&cyclic[..plen]).to_le_bytes();
-        cyclic[plen..].copy_from_slice(&sum);
-        let err = match ClusterModel::<2>::from_bytes(&cyclic) {
-            Err(e) => e,
-            Ok(_) => panic!("cyclic v1 arena must be rejected"),
-        };
-        assert!(err.to_string().contains("kd-tree"), "{err}");
     }
 
     #[test]
@@ -794,34 +659,6 @@ mod tests {
                 "bit flip at byte {byte} must be rejected"
             );
         }
-    }
-
-    #[test]
-    fn leaf_bitmap_corruption_fails_structural_validation() {
-        // Flip a leaf bit and *recompute the checksum*, so the structural
-        // validation in `KdTree::from_parts` (not the checksum) must catch
-        // the corruption.
-        let pts = blobs2(40, 14);
-        let model = ClusterModel::build(&pts, 3, 4);
-        let mut buf = Vec::new();
-        model.write_to(&mut buf).unwrap();
-        let n = pts.len();
-        let arena_len = 2 * n - 1;
-        let words_off = 36 // header
-            + n * 16 // points
-            + 8 + n * 4 // idx
-            + 8 + arena_len * (2 * 2 * 8 + 8) // arena count + nodes
-            + 8; // word count
-                 // Root (bit 0 of word 0) is internal for n > 1; marking it a leaf
-                 // breaks the leaf-count/child-arithmetic invariants.
-        buf[words_off] ^= 1;
-        let sum = fnv1a64(&buf);
-        le::write_u64(&mut buf, sum).unwrap();
-        let err = match ClusterModel::<2>::from_bytes(&buf) {
-            Err(e) => e,
-            Ok(_) => panic!("corrupt leaf bitmap must be rejected"),
-        };
-        assert!(err.to_string().contains("kd-tree"), "{err}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 //!
 //! ## Versioned dynamic artifact ("PCDY")
 //!
-//! The base [`ClusterModel`] artifact stays at `FORMAT_VERSION` 2 — a
-//! dynamic model is persisted as a *wrapper* around an ordinary base
-//! artifact plus the journal of batches applied since that base was cut
+//! A dynamic model is persisted as a *wrapper* around an ordinary base
+//! [`ClusterModel`] artifact (at the current
+//! [`FORMAT_VERSION`](crate::artifact::FORMAT_VERSION), so no stored
+//! kd-tree) plus the journal of batches applied since that base was cut
 //! (all little-endian):
 //!
 //! ```text
@@ -30,14 +31,18 @@
 //! number. [`DynModelHandle::compact`] rebases: it rebuilds, serializes
 //! the current state as the new base, and empties the journal. Version 1
 //! also stored the removed merge-vs-rebuild policy knobs; it is rejected
-//! by the version check.
+//! by the version check, as is a base artifact of any other version than
+//! the current one.
 //!
 //! ## One kd-tree per version
 //!
-//! Each model version builds exactly one kd-tree, inside
-//! [`DynamicModel`]. Publishing moves that tree into the served
-//! [`ClusterModel`], and the entry keeps the handle it published, so
-//! neither a mutation nor [`DynModelHandle::query_handle`] builds another.
+//! Each model version builds exactly one kd-tree: the base version's is
+//! the one [`ClusterModel::from_bytes`] builds while loading the base
+//! artifact, handed to [`DynamicModel::from_parts`]; every later version's
+//! is built inside [`DynamicModel::apply`] or `rebuild`. Publishing moves
+//! that tree into the served [`ClusterModel`], and the entry keeps the
+//! handle it published, so neither a mutation nor
+//! [`DynModelHandle::query_handle`] builds another.
 
 use crate::artifact::{fnv1a64, write_file_atomic, ClusterModel};
 use crate::registry::{handle_for_model, ModelHandle, ModelRegistry};
@@ -122,6 +127,7 @@ impl<const D: usize> DynEntry<D> {
     ) -> io::Result<Arc<Self>> {
         let mut dyn_model = DynamicModel::from_parts(
             model.points,
+            model.tree,
             model.min_pts,
             model.min_cluster_size,
             cfg,
@@ -353,6 +359,7 @@ fn from_bytes<const D: usize>(bytes: &[u8]) -> io::Result<Arc<DynEntry<D>>> {
     let base_model = ClusterModel::<D>::from_bytes(base)?;
     let mut model = DynamicModel::from_parts(
         base_model.points,
+        base_model.tree,
         base_model.min_pts,
         base_model.min_cluster_size,
         cfg,
@@ -577,12 +584,16 @@ mod tests {
         assert_eq!(builds, 1, "ClusterModel::build");
         let path = tmp("one-tree.pcsm");
         model.save(&path).unwrap();
+        let (_, builds) = tree_builds(|| ClusterModel::<2>::load(&path).unwrap());
+        assert_eq!(builds, 1, "ClusterModel::load rebuilds the tree");
         let (entry, builds) =
             tree_builds(|| wrap_artifact_path(&path, DynConfig::default()).unwrap());
-        std::fs::remove_file(&path).ok();
-        assert_eq!(builds, 1, "wrapping an artifact");
-
+        assert_eq!(builds, 1, "wrapping an artifact reuses the loaded tree");
         let registry = ModelRegistry::new();
+        let (_, builds) = tree_builds(|| registry.load_path("frozen", &path).unwrap());
+        std::fs::remove_file(&path).ok();
+        assert_eq!(builds, 1, "registry.load_path on a .pcsm");
+
         let (_, builds) = tree_builds(|| registry.insert("m", entry.query_handle()).unwrap());
         assert_eq!(builds, 0, "query_handle hands out the published handle");
         let (_, builds) = tree_builds(|| entry.mutate(&registry, "m", &[9.0, 9.0], &[0]).unwrap());
@@ -617,6 +628,28 @@ mod tests {
         let mut wrong = bytes.clone();
         wrong[0] = b'X';
         assert!(load_dynamic_path_bytes(&wrong).is_err());
+        // An embedded base of the tree-carrying version 2, both checksums
+        // recomputed → the base artifact's version check rejects it.
+        let base_at = 4 + 4 + 4 + 8 + 8 + 8 + 8;
+        let base_len = u64::from_le_bytes(bytes[base_at - 8..base_at].try_into().unwrap());
+        let base_end = base_at + base_len as usize;
+        let mut old = bytes.clone();
+        old[base_at + 4..base_at + 8].copy_from_slice(&2u32.to_le_bytes());
+        let sum = fnv1a64(&old[base_at..base_end - 8]).to_le_bytes();
+        old[base_end - 8..base_end].copy_from_slice(&sum);
+        let plen = old.len() - 8;
+        let sum = fnv1a64(&old[..plen]).to_le_bytes();
+        old[plen..].copy_from_slice(&sum);
+        let err = match load_dynamic_path_bytes(&old) {
+            Err(e) => e,
+            Ok(_) => panic!("a version-2 base must be rejected"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string().contains("artifact version 2 ")
+                && err.to_string().contains("serve build"),
+            "{err}"
+        );
     }
 
     /// Test shim: run the load path over in-memory bytes.

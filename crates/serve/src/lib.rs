@@ -6,8 +6,9 @@
 //! star. Three layers:
 //!
 //! * [`artifact`] — a versioned binary **model artifact** bundling the
-//!   point set, kd-tree, core distances, dendrogram, and condensed tree,
-//!   with checksummed save/load round-trip ([`ClusterModel`]);
+//!   point set, core distances, dendrogram, and condensed tree, with
+//!   checksummed save/load round-trip that rebuilds the kd-tree on load
+//!   ([`ClusterModel`]);
 //! * [`engine`] — a **query engine** answering flat cuts at arbitrary
 //!   `eps`/`k`, EOM extraction with `cluster_selection_epsilon`, and
 //!   out-of-sample point assignment, with batches fanned out over the

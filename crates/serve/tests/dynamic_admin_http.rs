@@ -10,9 +10,9 @@
 //!   `400` with a JSON `error` field on the wire (regression for the
 //!   close-with-unread-data RST race that used to destroy the queued
 //!   400 before the peer could read it), as do the removed
-//!   `policy`/`rebuild_fraction` load knobs and version-1 `PCDY`
-//!   wrappers; mutation routes distinguish read-only (400) from unknown
-//!   (404) models.
+//!   `policy`/`rebuild_fraction` load knobs, version-2 (tree-carrying)
+//!   model artifacts and version-1 `PCDY` wrappers; mutation routes
+//!   distinguish read-only (400) from unknown (404) models.
 
 use parclust::{Point, NOISE};
 use parclust_serve::artifact::fnv1a64;
@@ -304,6 +304,45 @@ fn malformed_admin_bodies_answer_400_json_not_a_dropped_connection() {
         let msg = body.get("error").and_then(Value::as_str).unwrap_or("");
         assert!(msg.contains(knob) && msg.contains("removed"), "{msg}");
     }
+
+    // A version-2 artifact (it stored the kd-tree) fails the version
+    // check with a rebuild hint: the header is patched and the checksum
+    // recomputed so the version check, not the checksum, rejects it.
+    let old_path = tmp("sweep-v2.pcsm");
+    let mut v2 = std::fs::read(&base_path).unwrap();
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let plen = v2.len() - 8;
+    let sum = fnv1a64(&v2[..plen]);
+    v2[plen..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&old_path, &v2).unwrap();
+    let (status, body) = client
+        .post(
+            "/admin/load",
+            &serde_json::json!({"id": "old2", "path": old_path.to_str().unwrap()}),
+        )
+        .unwrap();
+    std::fs::remove_file(&old_path).ok();
+    assert!((400..500).contains(&status), "{status}: {body}");
+    let msg = body.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        msg.contains("artifact version 2 ") && msg.contains("serve build"),
+        "{msg}"
+    );
+    // The server keeps serving: the current-version artifact still loads.
+    let (status, body) = client
+        .post(
+            "/admin/load",
+            &serde_json::json!({"id": "fresh", "path": base_path.to_str().unwrap()}),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+    let (status, info) = client.get("/models/fresh").unwrap();
+    assert_eq!(status, 200, "{info}");
+    assert_eq!(
+        info.get("format_version").and_then(Value::as_u64),
+        Some(3),
+        "{info}"
+    );
 
     // A version-1 PCDY wrapper (it carried a policy byte and a
     // rebuild_fraction after the dims) fails the version check.
