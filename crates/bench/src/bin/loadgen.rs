@@ -12,7 +12,19 @@
 //!         --batch 64 --mix cut,eom,assign --out bench_results/serving.json
 //! loadgen --addr 127.0.0.1:8077 --model geo --binary --mix assign --batch 512
 //! ```
+//!
+//! The report's `metrics` list feeds the bench gate. Its keys carry no
+//! serving label: `compare_bench --current t4=serving_t4.json` turns
+//! `serving/assign_points_per_sec` (gated) into
+//! `serving/t4/assign_points_per_sec`. Request rate and latency quantiles
+//! are listed ungated.
+//!
+//! Usage errors exit 2 and runtime failures (connect, a malformed server
+//! response, IO) exit 1, each with one `loadgen: error:` line on stderr;
+//! a closed stdout ends the run quietly.
 
+use parclust_bench::cli::Cli;
+use parclust_bench::gate::{metrics_json, Metric};
 use parclust_obs::Histogram;
 use parclust_serve::{AssignRequest, AssignResponse, LabelingSpec};
 use rand::prelude::*;
@@ -21,6 +33,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+const CLI: Cli = Cli("loadgen");
+
+const USAGE: &str = "usage: loadgen --addr HOST:PORT [--connections C] [--requests N] \
+                     [--batch B] [--mix cut,eom,assign] [--model ID] [--binary] \
+                     [--seed S] [--out PATH]";
+
 #[derive(Clone)]
 struct Opts {
     addr: String,
@@ -28,7 +46,7 @@ struct Opts {
     requests: usize,
     batch: usize,
     mix: Vec<String>,
-    out: Option<String>,
+    out: Option<std::path::PathBuf>,
     seed: u64,
     /// Model id to route at (`/models/{id}/...`); None = legacy default
     /// routes.
@@ -37,72 +55,57 @@ struct Opts {
     binary: bool,
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Runtime failure (connect, malformed server response, IO): diagnostic on
-/// stderr, exit 1. Safe to call from worker threads — the whole process
-/// should stop, not just the thread.
-fn fail(msg: impl std::fmt::Display) -> ! {
-    eprintln!("loadgen: error: {msg}");
-    std::process::exit(1);
-}
-
-/// Command-line value we could not make sense of: diagnostic, exit 2.
-fn bad_arg(msg: impl std::fmt::Display) -> ! {
-    eprintln!("loadgen: error: {msg}");
-    std::process::exit(2);
-}
-
-/// Parse a flag's value (or its default), exiting 2 on malformed input.
-fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: &str) -> T {
-    let raw = flag(args, name).unwrap_or_else(|| default.into());
-    raw.parse()
-        .unwrap_or_else(|_| bad_arg(format_args!("invalid value {raw:?} for {name}")))
-}
-
 fn parse_opts() -> Opts {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: loadgen --addr HOST:PORT [--connections C] [--requests N] \
-             [--batch B] [--mix cut,eom,assign] [--model ID] [--binary] \
-             [--seed S] [--out PATH]"
-        );
-        std::process::exit(0);
+    let mut opts = Opts {
+        addr: "127.0.0.1:8077".into(),
+        connections: 4,
+        requests: 1000,
+        batch: 64,
+        mix: Vec::new(),
+        out: None,
+        seed: 42,
+        model: None,
+        binary: false,
+    };
+    let mut mix = "cut,eom,assign".to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let flag = a.as_str();
+        match flag {
+            "--addr" => opts.addr = CLI.value(&mut args, flag),
+            "--connections" => opts.connections = CLI.parse(&mut args, flag),
+            "--requests" => opts.requests = CLI.parse(&mut args, flag),
+            "--batch" => opts.batch = CLI.parse(&mut args, flag),
+            "--mix" => mix = CLI.value(&mut args, flag),
+            "--out" => opts.out = Some(CLI.value(&mut args, flag).into()),
+            "--seed" => opts.seed = CLI.parse(&mut args, flag),
+            "--model" => opts.model = Some(CLI.value(&mut args, flag)),
+            "--binary" => opts.binary = true,
+            "--help" | "-h" => {
+                CLI.say(USAGE);
+                std::process::exit(0);
+            }
+            other => CLI.bad_arg(format_args!("unknown argument {other:?} (see --help)")),
+        }
     }
-    let mix: Vec<String> = flag(&args, "--mix")
-        .unwrap_or_else(|| "cut,eom,assign".into())
+    opts.mix = mix
         .split(',')
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .collect();
     // Reject bad mixes here, before any connection is opened, so the error
     // surfaces once on the main thread instead of panicking a worker.
-    for kind in &mix {
+    for kind in &opts.mix {
         if !matches!(kind.as_str(), "cut" | "eom" | "assign") {
-            bad_arg(format_args!(
+            CLI.bad_arg(format_args!(
                 "unknown mix kind {kind:?} (use cut,eom,assign)"
             ));
         }
     }
-    if mix.is_empty() {
-        bad_arg("--mix must name at least one of cut,eom,assign");
+    if opts.mix.is_empty() {
+        CLI.bad_arg("--mix must name at least one of cut,eom,assign");
     }
-    Opts {
-        addr: flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:8077".into()),
-        connections: parse_flag(&args, "--connections", "4"),
-        requests: parse_flag(&args, "--requests", "1000"),
-        batch: parse_flag(&args, "--batch", "64"),
-        mix,
-        out: flag(&args, "--out"),
-        seed: parse_flag(&args, "--seed", "42"),
-        model: flag(&args, "--model"),
-        binary: args.iter().any(|a| a == "--binary"),
-    }
+    opts
 }
 
 /// Per-kind latency collection (nanoseconds).
@@ -144,16 +147,16 @@ fn main() {
     // assign queries sample the data's own bounding box and binary frames
     // carry the right model id.
     let mut probe = parclust_serve::Client::connect(&opts.addr)
-        .unwrap_or_else(|e| fail(format_args!("connect {}: {e}", opts.addr)));
+        .unwrap_or_else(|e| CLI.fail(format_args!("connect {}: {e}", opts.addr)));
     let info_path = match &opts.model {
         Some(id) => format!("/models/{id}"),
         None => "/model".to_string(),
     };
     let (status, model) = probe
         .get(&info_path)
-        .unwrap_or_else(|e| fail(format_args!("GET {info_path}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format_args!("GET {info_path}: {e}")));
     if status != 200 {
-        fail(format_args!("GET {info_path} failed ({status}): {model}"));
+        CLI.fail(format_args!("GET {info_path} failed ({status}): {model}"));
     }
     // The id binary frames must carry: the routed id, or the server's
     // default when running against the legacy routes.
@@ -162,32 +165,33 @@ fn main() {
         None => {
             let (status, index) = probe
                 .get("/models")
-                .unwrap_or_else(|e| fail(format_args!("GET /models: {e}")));
+                .unwrap_or_else(|e| CLI.fail(format_args!("GET /models: {e}")));
             if status != 200 {
-                fail(format_args!("GET /models failed ({status}): {index}"));
+                CLI.fail(format_args!("GET /models failed ({status}): {index}"));
             }
             index
                 .get("default")
                 .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("server reports no default model (pass --model ID)"))
+                .unwrap_or_else(|| CLI.fail("server reports no default model (pass --model ID)"))
                 .to_string()
         }
     };
     let dims = model
         .get("dims")
         .and_then(Value::as_u64)
-        .unwrap_or_else(|| fail(format_args!("malformed model info (no dims): {model}")))
+        .unwrap_or_else(|| CLI.fail(format_args!("malformed model info (no dims): {model}")))
         as usize;
     let n_points = model.get("n").and_then(Value::as_u64).unwrap_or(0);
     let bbox_axis = |key: &str| -> Vec<f64> {
         model
             .get(key)
             .and_then(Value::as_array)
-            .unwrap_or_else(|| fail(format_args!("malformed model info (no {key}): {model}")))
+            .unwrap_or_else(|| CLI.fail(format_args!("malformed model info (no {key}): {model}")))
             .iter()
             .map(|v| {
-                v.as_f64()
-                    .unwrap_or_else(|| fail(format_args!("malformed model info ({key}): {model}")))
+                v.as_f64().unwrap_or_else(|| {
+                    CLI.fail(format_args!("malformed model info ({key}): {model}"))
+                })
             })
             .collect()
     };
@@ -225,7 +229,7 @@ fn main() {
             let model_id = model_id.clone();
             std::thread::spawn(move || {
                 let mut client = parclust_serve::Client::connect(&opts.addr)
-                    .unwrap_or_else(|e| fail(format_args!("connect {}: {e}", opts.addr)));
+                    .unwrap_or_else(|e| CLI.fail(format_args!("connect {}: {e}", opts.addr)));
                 let mut rng = StdRng::seed_from_u64(opts.seed ^ (c as u64) << 32);
                 let mut stats: Vec<(String, KindStats)> = opts
                     .mix
@@ -278,17 +282,17 @@ fn main() {
                             let (status, body) = client
                                 .post_binary(&format!("{route}/assign_binary"), &frame)
                                 .unwrap_or_else(|e| {
-                                    fail(format_args!("POST {route}/assign_binary: {e}"))
+                                    CLI.fail(format_args!("POST {route}/assign_binary: {e}"))
                                 });
                             let ns = q0.elapsed().as_nanos() as u64;
                             if status != 200 {
-                                fail(format_args!(
+                                CLI.fail(format_args!(
                                     "assign_binary failed ({status}): {}",
                                     String::from_utf8_lossy(&body)
                                 ));
                             }
                             let resp = AssignResponse::decode(&body).unwrap_or_else(|e| {
-                                fail(format_args!("malformed assign_binary response: {e}"))
+                                CLI.fail(format_args!("malformed assign_binary response: {e}"))
                             });
                             assert_eq!(resp.labels.len(), opts.batch);
                             ns
@@ -308,7 +312,7 @@ fn main() {
                         }
                         // Unreachable: parse_opts rejects unknown kinds
                         // before any worker starts.
-                        other => bad_arg(format_args!(
+                        other => CLI.bad_arg(format_args!(
                             "unknown mix kind {other:?} (use cut,eom,assign)"
                         )),
                     };
@@ -334,7 +338,7 @@ fn main() {
     for h in handles {
         let worker = h
             .join()
-            .unwrap_or_else(|_| fail("worker thread panicked (see message above)"));
+            .unwrap_or_else(|_| CLI.fail("worker thread panicked (see message above)"));
         for (kind, s) in worker {
             merged
                 .iter_mut()
@@ -346,6 +350,27 @@ fn main() {
         }
     }
     let wall = t0.elapsed().as_secs_f64();
+    let text =
+        report(&opts, &model_id, n_points, dims, wall, &mut merged, &hist).to_json_string_pretty();
+    // Write the file before printing: a reader that hangs up on stdout
+    // ends the run, and the report must survive it.
+    if let Some(out) = &opts.out {
+        CLI.write_file(out, &text);
+        eprintln!("loadgen: wrote {}", out.display());
+    }
+    CLI.say(text);
+}
+
+/// The run's JSON report, with the bench gate's `metrics` list.
+fn report(
+    opts: &Opts,
+    model_id: &str,
+    n_points: u64,
+    dims: usize,
+    wall: f64,
+    merged: &mut [(String, KindStats)],
+    hist: &Histogram,
+) -> Value {
     let total: usize = merged.iter().map(|(_, s)| s.latencies_ns.len()).sum();
     let rps = total as f64 / wall;
     let assign_requests = merged
@@ -353,11 +378,25 @@ fn main() {
         .find(|(k, _)| k == "assign")
         .map(|(_, s)| s.latencies_ns.len())
         .unwrap_or(0);
+    let assign_pps = assign_requests as f64 * opts.batch as f64 / wall;
+    // All-kind latency quantiles from the shared histogram: conservative
+    // bucket upper bounds, same collector as /metrics.
+    let [p50, p90, p99] = [0.50, 0.90, 0.99].map(|q| hist.quantile_ms(q));
+    // Assign throughput gates. The request rate is latency-bound and
+    // noisier, and the quantiles are bucket upper bounds of a log-spaced
+    // histogram (a one-bucket jitter reads as a 2x "regression"), so both
+    // are reported only; p90 stays out of the list.
+    let metrics = [
+        Metric::gated("serving/assign_points_per_sec", assign_pps, "points/s"),
+        Metric::info("serving/requests_per_sec", rps, "requests/s"),
+        Metric::info("serving/latency_p50_ms", p50, "ms"),
+        Metric::info("serving/latency_p99_ms", p99, "ms"),
+    ];
     let kind_objects: Vec<(String, Value)> = merged
         .iter_mut()
         .map(|(k, s)| (k.clone(), s.summarize()))
         .collect();
-    let report = serde_json::json!({
+    serde_json::json!({
         "experiment": "serving-throughput",
         "addr": opts.addr,
         "model": model_id,
@@ -369,27 +408,13 @@ fn main() {
         "batch": opts.batch as u64,
         "wall_secs": wall,
         "requests_per_sec": rps,
-        "assign_points_per_sec": assign_requests as f64 * opts.batch as f64 / wall,
-        // All-kind latency quantiles from the shared histogram:
-        // conservative bucket upper bounds, same collector as /metrics.
-        "latency_p50_ms": hist.quantile_ms(0.50),
-        "latency_p90_ms": hist.quantile_ms(0.90),
-        "latency_p99_ms": hist.quantile_ms(0.99),
+        "assign_points_per_sec": assign_pps,
+        "latency_p50_ms": p50,
+        "latency_p90_ms": p90,
+        "latency_p99_ms": p99,
         "kinds": Value::Object(kind_objects),
-    });
-    println!("{}", report.to_json_string_pretty());
-    if let Some(out) = &opts.out {
-        let path = std::path::Path::new(out);
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .unwrap_or_else(|e| fail(format_args!("create {}: {e}", dir.display())));
-            }
-        }
-        std::fs::write(path, report.to_json_string_pretty())
-            .unwrap_or_else(|e| fail(format_args!("write {out}: {e}")));
-        eprintln!("wrote {out}");
-    }
+        "metrics": metrics_json(&metrics),
+    })
 }
 
 /// POST a JSON body and return the elapsed nanoseconds (asserting 200).
@@ -397,10 +422,70 @@ fn timed_json(client: &mut parclust_serve::Client, path: &str, body: &Value) -> 
     let q0 = Instant::now();
     let (status, resp) = client
         .post(path, body)
-        .unwrap_or_else(|e| fail(format_args!("POST {path}: {e}")));
+        .unwrap_or_else(|e| CLI.fail(format_args!("POST {path}: {e}")));
     let ns = q0.elapsed().as_nanos() as u64;
     if status != 200 {
-        fail(format_args!("POST {path} failed ({status}): {resp}"));
+        CLI.fail(format_args!("POST {path} failed ({status}): {resp}"));
     }
     ns
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parclust_bench::gate::read_metrics;
+
+    #[test]
+    fn metrics_gate_assign_throughput_only() {
+        let opts = Opts {
+            addr: "127.0.0.1:1".into(),
+            connections: 1,
+            requests: 4,
+            batch: 64,
+            mix: vec!["cut".into(), "assign".into()],
+            out: None,
+            seed: 1,
+            model: None,
+            binary: false,
+        };
+        let hist = Histogram::latency_default();
+        let mut merged: Vec<(String, KindStats)> = ["cut", "assign"]
+            .iter()
+            .map(|k| (k.to_string(), KindStats::default()))
+            .collect();
+        for (i, ns) in [300_000u64, 1_000_000, 2_000_000, 4_000_000]
+            .iter()
+            .enumerate()
+        {
+            hist.record_ns(*ns);
+            merged[i % 2].1.latencies_ns.push(*ns);
+        }
+        let doc = report(&opts, "alpha", 100, 2, 2.0, &mut merged, &hist);
+        let metrics = read_metrics(&doc, Some("t4")).unwrap();
+        let got: Vec<(&str, &str, bool)> = metrics
+            .iter()
+            .map(|m| (m.key.as_str(), m.unit.as_str(), m.gated))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("serving/t4/assign_points_per_sec", "points/s", true),
+                ("serving/t4/requests_per_sec", "requests/s", false),
+                ("serving/t4/latency_p50_ms", "ms", false),
+                ("serving/t4/latency_p99_ms", "ms", false),
+            ]
+        );
+        // The list repeats the report's own fields; p90 stays report-only.
+        for m in &metrics {
+            let field = m.key.rsplit('/').next().unwrap();
+            let reported = doc.get(field).and_then(Value::as_f64);
+            assert_eq!(reported, Some(m.value), "{}", m.key);
+        }
+        assert_eq!(
+            metrics[0].value,
+            2.0 * 64.0 / 2.0,
+            "two assigns of 64 in 2 s"
+        );
+        assert!(doc.get("latency_p90_ms").is_some());
+    }
 }

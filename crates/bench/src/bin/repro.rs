@@ -22,6 +22,7 @@ use parclust::{
     optics_approx, NOISE,
 };
 use parclust_bench::cli::Cli;
+use parclust_bench::gate::Metric;
 use parclust_bench::{
     best_time, best_time_with_metrics, dataset, fmt_secs, thread_counts, with_points, DataSpec,
     Report, ResultRow, DATASETS,
@@ -315,6 +316,29 @@ fn table4_and_2(opts: &Opts, report: &mut Report) {
     print_table2("EMST", &speedups, report);
 }
 
+/// One table2 row: speedup over the best sequential method (`s1`) and
+/// self-relative speedup (`s2`), both also listed as gated metrics —
+/// same-run ratios transfer across machines where raw seconds cannot.
+fn push_table2(report: &mut Report, ds: &str, m: &str, threads: usize, s1: f64, s2: f64) {
+    report.push(ResultRow {
+        experiment: "table2".into(),
+        dataset: ds.to_string(),
+        method: m.to_string(),
+        threads,
+        n: 0,
+        seconds: 0.0,
+        extra: Some(serde_json::json!({
+            "speedup_over_best_seq": s1,
+            "self_relative_speedup": s2,
+        })),
+    });
+    let key = |field: &str| format!("table2/{ds}/{m}/{field}");
+    report.metrics.extend([
+        Metric::gated(key("self_relative_speedup"), s2, "ratio"),
+        Metric::gated(key("speedup_over_best_seq"), s1, "ratio"),
+    ]);
+}
+
 fn print_table2(family: &str, speedups: &[(String, String, f64, f64)], report: &mut Report) {
     let max_t = *thread_counts().last().unwrap();
     say!(
@@ -345,18 +369,7 @@ fn print_table2(family: &str, speedups: &[(String, String, f64, f64)], report: &
             lo2 = lo2.min(*s2);
             hi2 = hi2.max(*s2);
             sum2 += s2;
-            report.push(ResultRow {
-                experiment: "table2".into(),
-                dataset: ds.clone(),
-                method: m.clone(),
-                threads: max_t,
-                n: 0,
-                seconds: 0.0,
-                extra: Some(serde_json::json!({
-                    "speedup_over_best_seq": s1,
-                    "self_relative_speedup": s2,
-                })),
-            });
+            push_table2(report, ds, &m, max_t, *s1, *s2);
         }
         let k = rows.len() as f64;
         say!(
@@ -1152,5 +1165,61 @@ fn main() {
     }
     if !scale_ok {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parclust_bench::gate::read_metrics;
+
+    #[test]
+    fn table2_metrics_are_gated_speedups() {
+        let mut report = Report::default();
+        push_table2(&mut report, "ds1", "EMST-MemoGFK", 4, 1.5, 2.0);
+        push_table2(&mut report, "ds2", "EMST-MemoGFK", 4, 1.25, 1.75);
+        // Only table2 rows feed the gate; the written report carries them.
+        report.push(ResultRow {
+            experiment: "table4".into(),
+            dataset: "ds1".into(),
+            method: "EMST-MemoGFK".into(),
+            threads: 1,
+            n: 10,
+            seconds: 9.0,
+            extra: None,
+        });
+        let path = std::env::temp_dir().join(format!("repro-metrics-{}.json", std::process::id()));
+        report.write(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let doc = serde_json::from_str(&text).unwrap();
+        assert_eq!(
+            doc.get("rows")
+                .and_then(serde_json::Value::as_array)
+                .map(<[_]>::len),
+            Some(3)
+        );
+        let got: Vec<(String, f64, String, bool)> = read_metrics(&doc, None)
+            .unwrap()
+            .into_iter()
+            .map(|m| (m.key, m.value, m.unit, m.gated))
+            .collect();
+        let want = |ds: &str, field: &str, v: f64| {
+            (
+                format!("table2/{ds}/EMST-MemoGFK/{field}"),
+                v,
+                "ratio".to_string(),
+                true,
+            )
+        };
+        assert_eq!(
+            got,
+            [
+                want("ds1", "self_relative_speedup", 2.0),
+                want("ds1", "speedup_over_best_seq", 1.5),
+                want("ds2", "self_relative_speedup", 1.75),
+                want("ds2", "speedup_over_best_seq", 1.25),
+            ]
+        );
     }
 }

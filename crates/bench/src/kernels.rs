@@ -10,14 +10,14 @@
 //! Both workloads run the lane kernel ([`PointBlock::dist_sq_into`]) and
 //! the per-point scalar reference ([`PointBlock::dist_sq_into_scalar`])
 //! over identical data, so `scalar_secs / lane_secs` is the vectorization
-//! speedup the `kernels` section of the bench JSON records and CI gates
-//! (both against the committed baseline and against the absolute
-//! `--kernel-floor`).
+//! speedup the `kernel_bench` JSON records and CI gates (both against the
+//! committed baseline and against an absolute `--require` floor).
 //!
 //! The harness is shared by three consumers: the `kernel_bench` binary
 //! (JSON for the gate), the `benches/kernels.rs` criterion bench (local
 //! profiling), and the unit tests (the two variants must agree bitwise).
 
+use crate::gate::{metrics_json, Metric};
 use parclust_data::{uniform_fill, PointBlock, BLOCK_LEN};
 use serde_json::{json, Value};
 use std::hint::black_box;
@@ -147,13 +147,34 @@ pub fn knn_batch(reps: usize) -> KernelTimes {
     }
 }
 
-/// Run every kernel workload and assemble the `kernels` section of the
-/// bench JSON (the shape `gate::metrics_from_kernels` parses).
-pub fn kernels_json(reps: usize) -> Value {
-    json!({
-        "bccp_pair_loop": bccp_pair_loop(reps).to_json(),
-        "knn_batch": knn_batch(reps).to_json(),
-    })
+/// Run every kernel workload, best of `reps` each.
+pub fn run_kernels(reps: usize) -> Vec<(&'static str, KernelTimes)> {
+    vec![
+        ("bccp_pair_loop", bccp_pair_loop(reps)),
+        ("knn_batch", knn_batch(reps)),
+    ]
+}
+
+/// The `kernel_bench` report: each kernel's times by name, plus the
+/// gate's `metrics` list with one gated `kernels/NAME/speedup_vs_scalar`
+/// per kernel.
+pub fn kernels_json(results: &[(&str, KernelTimes)]) -> Value {
+    let metrics: Vec<Metric> = results
+        .iter()
+        .map(|(name, t)| {
+            Metric::gated(
+                format!("kernels/{name}/speedup_vs_scalar"),
+                t.speedup_vs_scalar(),
+                "ratio",
+            )
+        })
+        .collect();
+    let mut fields: Vec<(String, Value)> = results
+        .iter()
+        .map(|(name, t)| (name.to_string(), t.to_json()))
+        .collect();
+    fields.push(("metrics".to_string(), metrics_json(&metrics)));
+    Value::Object(fields)
 }
 
 #[cfg(test)]
@@ -173,14 +194,27 @@ mod tests {
 
     #[test]
     fn kernels_json_has_gateable_shape() {
-        let v = kernels_json(1);
-        for kernel in ["bccp_pair_loop", "knn_batch"] {
-            let s = v
+        let v = kernels_json(&run_kernels(1));
+        let metrics = crate::gate::read_metrics(&v, None).unwrap();
+        let keys: Vec<&str> = metrics.iter().map(|m| m.key.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "kernels/bccp_pair_loop/speedup_vs_scalar",
+                "kernels/knn_batch/speedup_vs_scalar",
+            ]
+        );
+        for m in &metrics {
+            assert!(m.gated, "{}: speedups are gated", m.key);
+            assert_eq!(m.unit, "ratio", "{}", m.key);
+            assert!(m.value > 0.0, "{}: {}", m.key, m.value);
+            // The list repeats the per-kernel section's own number.
+            let kernel = m.key.split('/').nth(1).unwrap();
+            let reported = v
                 .get(kernel)
                 .and_then(|k| k.get("speedup_vs_scalar"))
-                .and_then(Value::as_f64)
-                .unwrap_or_else(|| panic!("{kernel} must report speedup_vs_scalar"));
-            assert!(s.is_finite() && s > 0.0, "{kernel}: {s}");
+                .and_then(Value::as_f64);
+            assert_eq!(reported, Some(m.value), "{}", m.key);
         }
     }
 }

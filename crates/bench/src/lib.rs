@@ -277,10 +277,13 @@ pub struct ResultRow {
     pub extra: Option<serde_json::Value>,
 }
 
-/// Collects rows and writes them as pretty JSON at the end of a run.
+/// Collects rows, plus the metrics the bench gate compares, and writes
+/// them as pretty JSON (`{"rows": [...], "metrics": [...]}`) at the end
+/// of a run.
 #[derive(Default)]
 pub struct Report {
     pub rows: Vec<ResultRow>,
+    pub metrics: Vec<gate::Metric>,
 }
 
 impl Report {
@@ -292,8 +295,11 @@ impl Report {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let json = serde_json::to_string_pretty(&self.rows).expect("serializable rows");
-        std::fs::write(path, json)
+        let doc = serde_json::json!({
+            "rows": self.rows,
+            "metrics": gate::metrics_json(&self.metrics),
+        });
+        std::fs::write(path, doc.to_json_string_pretty())
     }
 }
 

@@ -1,5 +1,5 @@
 //! Error-path contract for the bench binaries (`dyn_bench`,
-//! `kernel_bench`, `compare_bench`, `repro`): bad input produces a one-line
+//! `kernel_bench`, `compare_bench`, `repro`, `loadgen`): bad input produces a one-line
 //! `<bin>: error:` diagnostic and a nonzero exit code, never a panic
 //! backtrace. Exit 2 means "the command line was wrong", exit 1 means "the
 //! command line was fine but the work failed"; a reader that closes stdout
@@ -28,12 +28,14 @@ const REPRO: Bin = Bin {
     name: "repro",
     exe: env!("CARGO_BIN_EXE_repro"),
 };
+const LOADGEN: Bin = Bin {
+    name: "loadgen",
+    exe: env!("CARGO_BIN_EXE_loadgen"),
+};
 
 impl Bin {
     fn command(&self) -> Command {
-        let mut cmd = Command::new(self.exe);
-        cmd.env_remove("BENCH_GATE_SKIP");
-        cmd
+        Command::new(self.exe)
     }
 
     fn run(&self, args: &[&str]) -> Output {
@@ -173,16 +175,20 @@ fn compare_bench_bad_values_are_usage_errors() {
         2,
         "tolerance must be in [0, 1)",
     );
-    COMPARE_BENCH.assert_fails(
-        &["--baseline", "b.json", "--serving", "t4"],
-        2,
-        "--serving takes LABEL=FILE",
-    );
-    COMPARE_BENCH.assert_fails(
-        &["--baseline", "b.json", "--min-ratio", "t4"],
-        2,
-        "must be NUM/DEN=MIN",
-    );
+    for spec in ["t4=", "=serving_t4.json", ""] {
+        COMPARE_BENCH.assert_fails(
+            &["--baseline", "b.json", "--current", spec],
+            2,
+            "--current takes [LABEL=]FILE",
+        );
+    }
+    for spec in ["serving/t4/assign_points_per_sec", "k>=fast", "k>=1.5*"] {
+        COMPARE_BENCH.assert_fails(
+            &["--baseline", "b.json", "--require", spec],
+            2,
+            "must be KEY>=MIN or KEY>=F*KEY",
+        );
+    }
 }
 
 #[test]
@@ -194,10 +200,53 @@ fn compare_bench_unreadable_baseline_is_a_runtime_error() {
     COMPARE_BENCH.assert_fails(&["--baseline", missing.to_str().unwrap()], 1, "cannot read");
 }
 
+/// A baseline and a current file, each holding one `metrics` list, in a
+/// fresh directory named after `tag`.
+fn gate_inputs(tag: &str, baseline: &str, current: &str) -> (std::path::PathBuf, [String; 2]) {
+    let dir = std::env::temp_dir().join(format!("compare-bench-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let paths = [("baseline.json", baseline), ("current.json", current)].map(|(name, metrics)| {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("{{\"metrics\": [{metrics}]}}")).unwrap();
+        path.to_str().unwrap().to_string()
+    });
+    (dir, paths)
+}
+
+const THROUGHPUT: &str = r#"{"key": "serving/t4/assign_points_per_sec", "value": 1000.0, "unit": "points/s", "gated": true}"#;
+
 #[test]
 fn compare_bench_closed_stdout_exits_cleanly() {
-    COMPARE_BENCH
-        .assert_quiet_on_closed_stdout(COMPARE_BENCH.command().env("BENCH_GATE_SKIP", "1"));
+    let (dir, [baseline, current]) = gate_inputs("stdout", THROUGHPUT, THROUGHPUT);
+    let mut cmd = COMPARE_BENCH.command();
+    cmd.args(["--baseline", &baseline, "--current", &current]);
+    // The same pair passes the gate when stdout stays open.
+    let open = COMPARE_BENCH
+        .command()
+        .args(cmd.get_args())
+        .output()
+        .unwrap();
+    assert_eq!(open.status.code(), Some(0), "{open:?}");
+    assert!(String::from_utf8_lossy(&open.stdout).contains("gate passed"));
+    COMPARE_BENCH.assert_quiet_on_closed_stdout(&mut cmd);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn compare_bench_null_value_is_a_runtime_error() {
+    // The JSON writer stores a non-finite value as `null`; the gate must
+    // name it instead of leaving the metric out of the comparison.
+    let null = THROUGHPUT.replace("1000.0", "null");
+    let (dir, [baseline, current]) = gate_inputs("null", THROUGHPUT, &null);
+    COMPARE_BENCH.assert_fails(
+        &["--baseline", &baseline, "--current", &current],
+        1,
+        "serving/t4/assign_points_per_sec: value is not a finite number",
+    );
+    // The error names the file too.
+    let out = COMPARE_BENCH.run(&["--baseline", &baseline, "--current", &current]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains(&current));
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
@@ -246,4 +295,47 @@ fn repro_unwritable_report_is_a_runtime_error() {
     ]);
     std::fs::remove_file(&blocker).ok();
     REPRO.assert_clean_failure(&out, 1, "write");
+}
+
+#[test]
+fn loadgen_unknown_mix_kind_is_rejected_before_connecting() {
+    // Deliberately points at a dead address: validation must fire first.
+    LOADGEN.assert_fails(
+        &["--addr", "127.0.0.1:1", "--mix", "cut,frobnicate"],
+        2,
+        "unknown mix kind \"frobnicate\"",
+    );
+}
+
+#[test]
+fn loadgen_empty_mix_is_rejected() {
+    LOADGEN.assert_fails(
+        &["--addr", "127.0.0.1:1", "--mix", ", ,"],
+        2,
+        "--mix must name at least one",
+    );
+}
+
+#[test]
+fn loadgen_unparseable_flag_value_is_a_usage_error() {
+    LOADGEN.assert_fails(
+        &["--connections", "many"],
+        2,
+        "invalid value \"many\" for --connections",
+    );
+}
+
+#[test]
+fn loadgen_unreachable_server_is_a_runtime_error() {
+    // Port 1 is essentially never listening; connect must fail cleanly.
+    LOADGEN.assert_fails(
+        &["--addr", "127.0.0.1:1", "--requests", "1"],
+        1,
+        "connect 127.0.0.1:1",
+    );
+}
+
+#[test]
+fn loadgen_help_on_closed_stdout_exits_cleanly() {
+    LOADGEN.assert_quiet_on_closed_stdout(LOADGEN.command().arg("--help"));
 }
