@@ -383,6 +383,94 @@ mod tests {
         assert_eq!(current[2].value, 4.0);
     }
 
+    /// A `loadgen` report in the shape the binary writes: its own fields
+    /// plus the unlabeled `serving/...` metrics list.
+    fn loadgen_doc(assign_pps: f64, rps: f64, p50: f64, p99: f64) -> Value {
+        json!({
+            "requests_per_sec": rps,
+            "assign_points_per_sec": assign_pps,
+            "latency_p50_ms": p50,
+            "latency_p90_ms": (p50 + p99) / 2.0,
+            "latency_p99_ms": p99,
+            "metrics": metrics_json(&[
+                Metric::gated("serving/assign_points_per_sec", assign_pps, "points/s"),
+                Metric::info("serving/requests_per_sec", rps, "requests/s"),
+                Metric::info("serving/latency_p50_ms", p50, "ms"),
+                Metric::info("serving/latency_p99_ms", p99, "ms"),
+            ]),
+        })
+    }
+
+    #[test]
+    fn extracts_loadgen_metrics_with_gating_split() {
+        let ms = read_metrics(&loadgen_doc(200_000.0, 10_000.0, 1.2, 8.0), Some("t4")).unwrap();
+        let assign = ms
+            .iter()
+            .find(|m| m.key == "serving/t4/assign_points_per_sec")
+            .unwrap();
+        assert!(assign.gated);
+        let rps = ms
+            .iter()
+            .find(|m| m.key == "serving/t4/requests_per_sec")
+            .unwrap();
+        assert!(!rps.gated, "latency-bound metric is informational");
+        // Halving both: only the gated assign throughput fails the gate.
+        let half = read_metrics(&loadgen_doc(100_000.0, 5_000.0, 1.2, 8.0), Some("t4")).unwrap();
+        let out = compare(&ms, &half, DEFAULT_TOLERANCE);
+        assert_eq!(out.failures, 1);
+        let failed: Vec<&str> = out
+            .comparisons
+            .iter()
+            .filter(|c| c.regressed)
+            .map(|c| c.key.as_str())
+            .collect();
+        assert_eq!(failed, ["serving/t4/assign_points_per_sec"]);
+    }
+
+    #[test]
+    fn loadgen_latency_quantiles_are_tracked_but_ungated() {
+        let ms = read_metrics(&loadgen_doc(200_000.0, 10_000.0, 1.2, 8.0), Some("t4")).unwrap();
+        for key in ["serving/t4/latency_p50_ms", "serving/t4/latency_p99_ms"] {
+            let m = ms.iter().find(|m| m.key == key).unwrap();
+            assert!(!m.gated, "{key} must never gate");
+            assert_eq!(m.unit, "ms", "{key}");
+        }
+        // p90 is report-only: present in loadgen output, not a baseline
+        // metric (keeps the committed baseline schema minimal).
+        assert!(!ms.iter().any(|m| m.key.contains("p90")));
+        // A one-bucket jitter in the quantiles never fails the gate.
+        let jitter = read_metrics(&loadgen_doc(200_000.0, 10_000.0, 0.6, 4.0), Some("t4")).unwrap();
+        assert!(compare(&ms, &jitter, DEFAULT_TOLERANCE).passed());
+        // Lists without quantiles still parse.
+        let old = json!({"metrics": metrics_json(&[
+            Metric::info("serving/requests_per_sec", 5_000.0, "requests/s"),
+        ])});
+        assert_eq!(read_metrics(&old, Some("t1")).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn kernel_metrics_are_gated_speedups() {
+        use crate::kernels::{kernels_json, KernelTimes};
+        let times = |lane_secs, scalar_secs| KernelTimes {
+            lane_secs,
+            scalar_secs,
+        };
+        let doc = kernels_json(&[
+            ("bccp_pair_loop", times(0.01, 0.02)),
+            ("knn_batch", times(0.01, 0.015)),
+        ]);
+        let ms = read_metrics(&reparse(&doc), None).unwrap();
+        assert_eq!(ms.len(), 2);
+        assert!(ms.iter().all(|m| m.gated));
+        assert!(ms
+            .iter()
+            .any(|m| m.key == "kernels/bccp_pair_loop/speedup_vs_scalar" && m.value == 2.0));
+        // A baseline written from the kernel metrics round-trips through
+        // the reader.
+        let baseline = reparse(&baseline_json("x", &ms));
+        assert_eq!(read_metrics(&baseline, None).unwrap(), ms);
+    }
+
     #[test]
     fn non_finite_values_are_rejected() {
         // NaN and ±inf are written as `null`; both the written and the
