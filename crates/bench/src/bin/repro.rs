@@ -992,19 +992,14 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
 
 fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut Report) -> bool {
     use parclust_bench::memory::{fmt_bytes, peak_rss_bytes, MemoryBudget};
-    use parclust_data::io::{collect_points, ChunkedReader, PointSource};
 
     let max_t = *thread_counts().last().unwrap();
     let budget = MemoryBudget::new(opts.max_memory);
 
     let t0 = std::time::Instant::now();
-    let read_failed =
-        |e: std::io::Error| -> ! { CLI.fail(format_args!("read {}: {e}", path.display())) };
-    let mut reader = ChunkedReader::<D>::open(path).unwrap_or_else(|e| read_failed(e));
-    let file_total = reader.total();
-    let pts = collect_points(&mut reader).unwrap_or_else(|e| read_failed(e));
+    let pts = parclust_data::read_chunked::<D>(path)
+        .unwrap_or_else(|e| CLI.fail(format_args!("read {}: {e}", path.display())));
     let ingest_secs = t0.elapsed().as_secs_f64();
-    assert_eq!(pts.len(), file_total, "ingestion must deliver every point");
 
     let n = pts.len();
     let cap = budget.batch_cap(n, D);

@@ -26,18 +26,8 @@ use parclust_obs::phase;
 use parclust_wspd::policy::core_distance_annotations;
 use parclust_wspd::{MutualReachSep, SepMode};
 
-use crate::drivers::{build_tree, edges_to_original, wspd_mst_memogfk, wspd_mst_streaming};
+use crate::drivers::{build_tree, edges_to_original, wspd_mst_memogfk};
 use crate::stats::{Recorder, Stats};
-
-/// Which MST engine a HDBSCAN\* driver runs on top of the chosen
-/// separation policy.
-#[derive(Debug, Clone, Copy)]
-enum MstEngine {
-    /// MemoGFK (Algorithm 3) — the in-memory default.
-    Memo,
-    /// Bounded-memory streaming batches of at most this many pairs.
-    Streaming(usize),
-}
 
 /// MST of the mutual reachability graph plus the quantities needed to build
 /// the HDBSCAN\* hierarchy.
@@ -113,21 +103,19 @@ fn hdbscan_driver<const D: usize>(
     points: &[Point<D>],
     min_pts: usize,
     mode: SepMode,
-    engine: MstEngine,
     precomputed_cd: Option<&[f64]>,
 ) -> HdbscanMst {
     hdbscan_frame(points, min_pts, precomputed_cd, |tree, cd_orig, rec| {
-        mutual_reach_mst(tree, mode, engine, cd_orig, rec)
+        mutual_reach_mst(tree, mode, cd_orig, rec)
     })
 }
 
-/// The mutual-reachability MST in position space over a built tree and
-/// core distances in original order — the shared tail of every HDBSCAN\*
-/// driver.
+/// The mutual-reachability MST (MemoGFK) in position space over a built
+/// tree and core distances in original order — the shared tail of every
+/// HDBSCAN\* driver.
 fn mutual_reach_mst<const D: usize>(
     tree: &KdTree<D>,
     mode: SepMode,
-    engine: MstEngine,
     cd_orig: &[f64],
     rec: &Recorder,
 ) -> Vec<Edge> {
@@ -146,57 +134,19 @@ fn mutual_reach_mst<const D: usize>(
     };
 
     let policy = MutualReachSep::new(mode, &cd_pos, &cd_min, &cd_max);
-    match engine {
-        MstEngine::Memo => wspd_mst_memogfk(tree, &policy, rec),
-        MstEngine::Streaming(cap) => wspd_mst_streaming(tree, &policy, rec, cap),
-    }
+    wspd_mst_memogfk(tree, &policy, rec)
 }
 
 /// HDBSCAN\* MST via the improved algorithm (§3.2.2): new well-separation,
 /// MemoGFK, exact BCCP\*. The paper's recommended method.
 pub fn hdbscan_memogfk<const D: usize>(points: &[Point<D>], min_pts: usize) -> HdbscanMst {
-    hdbscan_driver(points, min_pts, SepMode::Combined, MstEngine::Memo, None)
+    hdbscan_driver(points, min_pts, SepMode::Combined, None)
 }
 
 /// HDBSCAN\* MST via the parallelized exact Gan–Tao baseline (§3.2.1):
 /// standard well-separation, MemoGFK, exact BCCP\*.
 pub fn hdbscan_gantao<const D: usize>(points: &[Point<D>], min_pts: usize) -> HdbscanMst {
-    hdbscan_driver(points, min_pts, SepMode::Standard, MstEngine::Memo, None)
-}
-
-/// HDBSCAN\* MST via the bounded-memory streaming pipeline (new
-/// well-separation of §3.2.2, pair batches of at most `max_batch_pairs`,
-/// streaming Kruskal merges). Bit-identical to [`hdbscan_memogfk`] for
-/// every batch size — pinned by `tests/streaming_semantics.rs`.
-pub fn hdbscan_streaming<const D: usize>(
-    points: &[Point<D>],
-    min_pts: usize,
-    max_batch_pairs: usize,
-) -> HdbscanMst {
-    hdbscan_driver(
-        points,
-        min_pts,
-        SepMode::Combined,
-        MstEngine::Streaming(max_batch_pairs),
-        None,
-    )
-}
-
-/// Streaming HDBSCAN\* under the *standard* (Gan–Tao) well-separation —
-/// the streamed counterpart of [`hdbscan_gantao`], used to pin that the
-/// streaming path is exact for both separation definitions.
-pub fn hdbscan_gantao_streaming<const D: usize>(
-    points: &[Point<D>],
-    min_pts: usize,
-    max_batch_pairs: usize,
-) -> HdbscanMst {
-    hdbscan_driver(
-        points,
-        min_pts,
-        SepMode::Standard,
-        MstEngine::Streaming(max_batch_pairs),
-        None,
-    )
+    hdbscan_driver(points, min_pts, SepMode::Standard, None)
 }
 
 /// Compute the HDBSCAN\* MST. Alias for [`hdbscan_memogfk`].
@@ -211,22 +161,13 @@ pub fn hdbscan_memogfk_with_cds<const D: usize>(
     min_pts: usize,
     core_distances: &[f64],
 ) -> HdbscanMst {
-    hdbscan_driver(
-        points,
-        min_pts,
-        SepMode::Combined,
-        MstEngine::Memo,
-        Some(core_distances),
-    )
+    hdbscan_driver(points, min_pts, SepMode::Combined, Some(core_distances))
 }
 
 /// HDBSCAN\* MST (the §3.2.2 well-separation) over a prebuilt kd-tree and
 /// caller-supplied core distances — the entry point for callers that keep
 /// the tree, such as `parclust-dyn`, which builds one tree per model
 /// version and reuses the core distances a mutation cannot affect.
-/// `max_live_pairs` of `Some(cap)` streams WSPD pair batches of at most
-/// `cap` pairs through the streaming Kruskal forest; `None` runs MemoGFK.
-/// Both are bit-identical.
 ///
 /// Contract: `core_distances` is in original point order and
 /// `core_distances[i]` must equal, **bit for bit**, the value
@@ -242,15 +183,10 @@ pub fn hdbscan_mst_on_tree<const D: usize>(
     tree: &KdTree<D>,
     min_pts: usize,
     core_distances: &[f64],
-    max_live_pairs: Option<usize>,
 ) -> HdbscanMst {
     assert!(min_pts >= 1, "minPts must be at least 1");
-    let engine = match max_live_pairs {
-        Some(cap) => MstEngine::Streaming(cap),
-        None => MstEngine::Memo,
-    };
     let (edges, stats) = Recorder::run(|rec| {
-        let edges = mutual_reach_mst(tree, SepMode::Combined, engine, core_distances, rec);
+        let edges = mutual_reach_mst(tree, SepMode::Combined, core_distances, rec);
         edges_to_original(tree, edges)
     });
     HdbscanMst {
@@ -396,35 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_variants_match_in_memory_bitwise() {
-        let pts = random_points::<2>(500, 41);
-        for min_pts in [2usize, 10] {
-            let memo = hdbscan_memogfk(&pts, min_pts);
-            let gan = hdbscan_gantao(&pts, min_pts);
-            for cap in [17usize, 4096] {
-                for (got, want, name) in [
-                    (hdbscan_streaming(&pts, min_pts, cap), &memo, "combined"),
-                    (
-                        hdbscan_gantao_streaming(&pts, min_pts, cap),
-                        &gan,
-                        "standard",
-                    ),
-                ] {
-                    assert_eq!(got.edges.len(), want.edges.len(), "{name} cap={cap}");
-                    for (a, b) in got.edges.iter().zip(&want.edges) {
-                        assert_eq!(
-                            (a.u, a.v, a.w.to_bits()),
-                            (b.u, b.v, b.w.to_bits()),
-                            "{name} cap={cap}"
-                        );
-                    }
-                    assert_eq!(got.core_distances, want.core_distances);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn precomputed_cds_reproduce_the_standard_driver_bitwise() {
         let pts = random_points::<2>(300, 77);
         for min_pts in [1usize, 4, 16] {
@@ -433,9 +340,8 @@ mod tests {
             assert_eq!(cds, want.core_distances);
             let memo = hdbscan_memogfk_with_cds(&pts, min_pts, &cds);
             let tree = KdTree::build(&pts);
-            let on_tree = hdbscan_mst_on_tree(&tree, min_pts, &cds, None);
-            let stream = hdbscan_mst_on_tree(&tree, min_pts, &cds, Some(23));
-            for got in [&memo, &on_tree, &stream] {
+            let on_tree = hdbscan_mst_on_tree(&tree, min_pts, &cds);
+            for got in [&memo, &on_tree] {
                 assert_eq!(got.edges.len(), want.edges.len());
                 for (a, b) in got.edges.iter().zip(&want.edges) {
                     assert_eq!((a.u, a.v, a.w.to_bits()), (b.u, b.v, b.w.to_bits()));

@@ -60,8 +60,8 @@ pub use extract::{
     CondensedTree,
 };
 pub use hdbscan::{
-    core_distances, core_distances_on_tree, hdbscan, hdbscan_gantao, hdbscan_gantao_streaming,
-    hdbscan_memogfk, hdbscan_memogfk_with_cds, hdbscan_mst_on_tree, hdbscan_streaming, HdbscanMst,
+    core_distances, core_distances_on_tree, hdbscan, hdbscan_gantao, hdbscan_memogfk,
+    hdbscan_memogfk_with_cds, hdbscan_mst_on_tree, HdbscanMst,
 };
 pub use optics::optics_approx;
 pub use stats::Stats;

@@ -1,21 +1,13 @@
-//! Point-set IO: CSV (interoperability), a little-endian binary format
-//! (fast reload of generated benchmark inputs), the chunked streaming
-//! format ([`ChunkedWriter`]/[`ChunkedReader`]) that feeds multi-million
-//! point pipelines without a whole-file buffer, and the low-level
-//! little-endian section codec ([`le`]) that downstream binary formats
-//! (e.g. `parclust-serve`'s model artifact) build on.
-//!
-//! The [`PointSource`] trait unifies ingestion: generators (via
-//! [`SliceSource`]) and chunked files (via [`ChunkedReader`]) both hand the
-//! pipeline bounded chunks of points, so the working set of the ingestion
-//! phase is `O(chunk)` regardless of file size.
+//! Point-set IO: CSV (interoperability), the chunked point format
+//! ([`ChunkedWriter`]/[`ChunkedReader`], `.pcls`) that generators write
+//! without a whole-file buffer and [`read_chunked`] reads back with strict
+//! framing and a verified checksum, and the low-level little-endian section
+//! codec ([`le`]) that downstream binary formats (e.g. `parclust-serve`'s
+//! model artifact) build on.
 
 use parclust_geom::Point;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-
-const MAGIC: &[u8; 4] = b"PCLD";
-const VERSION: u32 = 1;
 
 /// Little-endian primitive and slice codec shared by every parclust binary
 /// format. Writers are total; readers fail with `InvalidData`/`UnexpectedEof`
@@ -166,57 +158,6 @@ pub fn read_csv<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
     Ok(out)
 }
 
-/// Write points in the binary format: `PCLD`, version, dims, count, then
-/// little-endian f64 coordinates.
-pub fn write_binary<const D: usize>(path: &Path, points: &[Point<D>]) -> io::Result<()> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    w.write_all(MAGIC)?;
-    le::write_u32(&mut w, VERSION)?;
-    le::write_u32(&mut w, D as u32)?;
-    le::write_u64(&mut w, points.len() as u64)?;
-    for p in points {
-        for &c in p.coords() {
-            le::write_f64(&mut w, c)?;
-        }
-    }
-    w.flush()
-}
-
-/// Read points written by [`write_binary`]; the stored dimensionality must
-/// equal `D`.
-pub fn read_binary<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
-    let mut r = BufReader::new(std::fs::File::open(path)?);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-    }
-    let version = le::read_u32(&mut r)?;
-    if version != VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unsupported version {version}"),
-        ));
-    }
-    let dims = le::read_u32(&mut r)?;
-    if dims as usize != D {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("file has {dims} dims, expected {D}"),
-        ));
-    }
-    let count = le::read_u64(&mut r)? as usize;
-    let mut out = Vec::with_capacity(count.min(1 << 20));
-    for _ in 0..count {
-        let mut c = [0.0; D];
-        for slot in c.iter_mut() {
-            *slot = le::read_f64(&mut r)?;
-        }
-        out.push(Point(c));
-    }
-    Ok(out)
-}
-
 // --------------------------------------------------------------------
 // Chunked streaming format
 // --------------------------------------------------------------------
@@ -264,68 +205,6 @@ impl Default for Fnv1a64 {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A bounded-chunk supplier of points: the uniform ingestion interface for
-/// generators ([`SliceSource`]) and chunked files ([`ChunkedReader`]).
-///
-/// `next_chunk` clears `buf`, refills it with at most one chunk of points,
-/// and returns the number delivered; `Ok(0)` means the source is exhausted.
-/// Reusing one `buf` across calls keeps ingestion memory at `O(chunk)`.
-pub trait PointSource<const D: usize> {
-    /// Total number of points this source yields across all chunks.
-    fn total(&self) -> usize;
-
-    /// Clear and refill `buf` with the next chunk; `Ok(0)` = exhausted.
-    fn next_chunk(&mut self, buf: &mut Vec<Point<D>>) -> io::Result<usize>;
-}
-
-/// [`PointSource`] over an in-memory slice (e.g. generator output), chunked
-/// so generator- and file-fed pipelines exercise identical code paths.
-pub struct SliceSource<'a, const D: usize> {
-    points: &'a [Point<D>],
-    pos: usize,
-    chunk_len: usize,
-}
-
-impl<'a, const D: usize> SliceSource<'a, D> {
-    pub fn new(points: &'a [Point<D>], chunk_len: usize) -> Self {
-        assert!(chunk_len >= 1, "chunk_len must be positive");
-        SliceSource {
-            points,
-            pos: 0,
-            chunk_len,
-        }
-    }
-}
-
-impl<'a, const D: usize> PointSource<D> for SliceSource<'a, D> {
-    fn total(&self) -> usize {
-        self.points.len()
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Point<D>>) -> io::Result<usize> {
-        buf.clear();
-        let hi = (self.pos + self.chunk_len).min(self.points.len());
-        buf.extend_from_slice(&self.points[self.pos..hi]);
-        let n = hi - self.pos;
-        self.pos = hi;
-        Ok(n)
-    }
-}
-
-/// Drain a [`PointSource`] into one `Vec`, reusing a single chunk buffer.
-/// The up-front reservation is capped in *bytes* (like the readers' slab
-/// bounds) so a corrupt header count cannot trigger a huge allocation
-/// before any payload is validated.
-pub fn collect_points<const D: usize, S: PointSource<D>>(src: &mut S) -> io::Result<Vec<Point<D>>> {
-    let prealloc_cap = (1usize << 24) / std::mem::size_of::<Point<D>>().max(1);
-    let mut out = Vec::with_capacity(src.total().min(prealloc_cap));
-    let mut buf = Vec::new();
-    while src.next_chunk(&mut buf)? > 0 {
-        out.extend_from_slice(&buf);
-    }
-    Ok(out)
 }
 
 /// Header of a chunked point file, readable without fixing the const
@@ -463,7 +342,7 @@ impl<const D: usize, W: Write + Seek> ChunkedWriter<D, W> {
     }
 }
 
-/// Streaming reader for the chunked format; implements [`PointSource`].
+/// Streaming reader for the chunked format.
 ///
 /// Framing is strict — every chunk must hold exactly
 /// `min(chunk_len, remaining)` points — and the trailing checksum is
@@ -521,14 +400,11 @@ impl<const D: usize, R: Read> ChunkedReader<D, R> {
         self.verified = true;
         Ok(())
     }
-}
 
-impl<const D: usize, R: Read> PointSource<D> for ChunkedReader<D, R> {
-    fn total(&self) -> usize {
-        self.header.count as usize
-    }
-
-    fn next_chunk(&mut self, buf: &mut Vec<Point<D>>) -> io::Result<usize> {
+    /// Clear and refill `buf` with the next chunk and return the number of
+    /// points delivered; `Ok(0)` means the file is exhausted (and its
+    /// checksum verified). Reusing one `buf` keeps a read at `O(chunk)`.
+    pub fn next_chunk(&mut self, buf: &mut Vec<Point<D>>) -> io::Result<usize> {
         buf.clear();
         if self.remaining == 0 {
             // Covers count == 0 files too: the trailer must still be
@@ -574,6 +450,21 @@ impl<const D: usize, R: Read> PointSource<D> for ChunkedReader<D, R> {
         }
         Ok(expect as usize)
     }
+
+    /// Read every remaining point into one `Vec`, reusing a single chunk
+    /// buffer. The up-front reservation is capped in *bytes* (like the
+    /// slab reads) so a corrupt header count cannot trigger a huge
+    /// allocation before any payload is validated.
+    pub fn read_all(&mut self) -> io::Result<Vec<Point<D>>> {
+        let prealloc_cap = (1usize << 24) / std::mem::size_of::<Point<D>>().max(1);
+        let count = usize::try_from(self.remaining).unwrap_or(usize::MAX);
+        let mut out = Vec::with_capacity(count.min(prealloc_cap));
+        let mut buf = Vec::new();
+        while self.next_chunk(&mut buf)? > 0 {
+            out.extend_from_slice(&buf);
+        }
+        Ok(out)
+    }
 }
 
 /// Write a full slice in the chunked format (streaming writes go through
@@ -589,10 +480,9 @@ pub fn write_chunked<const D: usize>(
     Ok(())
 }
 
-/// Read an entire chunked file into memory (tests and small inputs; large
-/// pipelines should stream via [`ChunkedReader`] + [`collect_points`]).
+/// Read an entire chunked file into memory ([`ChunkedReader::read_all`]).
 pub fn read_chunked<const D: usize>(path: &Path) -> io::Result<Vec<Point<D>>> {
-    collect_points(&mut ChunkedReader::<D>::open(path)?)
+    ChunkedReader::<D>::open(path)?.read_all()
 }
 
 #[cfg(test)]
@@ -632,26 +522,6 @@ mod tests {
         std::fs::write(&path, "# header\n\n1.0,2.0\n").unwrap();
         let pts: Vec<Point<2>> = read_csv(&path).unwrap();
         assert_eq!(pts, vec![Point([1.0, 2.0])]);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let pts = uniform_fill::<7>(257, 2);
-        let path = tmp("roundtrip.bin");
-        write_binary(&path, &pts).unwrap();
-        let back: Vec<Point<7>> = read_binary(&path).unwrap();
-        assert_eq!(pts, back);
-        // Wrong dimensionality is rejected.
-        assert!(read_binary::<3>(&path).is_err());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        let path = tmp("garbage.bin");
-        std::fs::write(&path, b"not a parclust file").unwrap();
-        assert!(read_binary::<2>(&path).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -698,7 +568,7 @@ mod tests {
             let pts = uniform_fill::<3>(n, 5);
             let bytes = chunked_bytes(&pts, chunk);
             let mut r = ChunkedReader::<3, _>::new(bytes.as_slice()).unwrap();
-            assert_eq!(r.total(), n);
+            assert_eq!(r.header().count, n as u64);
             let mut got = Vec::new();
             let mut buf = Vec::new();
             loop {
@@ -736,15 +606,13 @@ mod tests {
     }
 
     #[test]
-    fn chunked_source_equals_slice_source() {
+    fn chunked_read_all_equals_written_points() {
         let pts = uniform_fill::<5>(513, 3);
         let bytes = chunked_bytes(&pts, 100);
-        let mut file_src = ChunkedReader::<5, _>::new(bytes.as_slice()).unwrap();
-        let mut slice_src = SliceSource::new(&pts, 100);
-        assert_eq!(
-            collect_points(&mut file_src).unwrap(),
-            collect_points(&mut slice_src).unwrap()
-        );
+        let mut r = ChunkedReader::<5, _>::new(bytes.as_slice()).unwrap();
+        assert_eq!(r.read_all().unwrap(), pts);
+        // A drained reader reads nothing more.
+        assert_eq!(r.read_all().unwrap(), Vec::new());
     }
 
     #[test]

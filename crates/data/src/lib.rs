@@ -10,7 +10,6 @@ pub use generators::{
     gps_like, seed_spreader, seed_spreader_with, sensor_like, uniform_fill, SeedSpreaderParams,
 };
 pub use io::{
-    chunked_header, collect_points, read_binary, read_chunked, read_csv, write_binary,
-    write_chunked, write_csv, ChunkedHeader, ChunkedReader, ChunkedWriter, PointSource,
-    SliceSource, DEFAULT_CHUNK_LEN,
+    chunked_header, read_chunked, read_csv, write_chunked, write_csv, ChunkedHeader, ChunkedReader,
+    ChunkedWriter, DEFAULT_CHUNK_LEN,
 };

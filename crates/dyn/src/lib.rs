@@ -37,9 +37,10 @@
 //!   how the tree decomposed the square. Merging forest edges harvested
 //!   from an old tree into candidates streamed from a new tree can
 //!   therefore flip tie outcomes and change the dendrogram bit pattern.
-//!   So every apply restreams all WSPD pairs of the *new* tree
-//!   ([`parclust::hdbscan_mst_on_tree`]) instead of splicing edges across
-//!   trees; what it saves is the dominant core-distance phase.
+//!   So every apply rebuilds the MST from all WSPD pairs of the *new*
+//!   tree ([`parclust::hdbscan_mst_on_tree`], MemoGFK) instead of splicing
+//!   edges across trees; what it saves is the dominant core-distance
+//!   phase.
 //!
 //! ## Affected set
 //!
@@ -53,21 +54,24 @@
 //! the batch stabs. [`ApplyReport::path`] reports which case ran. The tree
 //! stays with the model until [`take_tree`](DynamicModel::take_tree) moves
 //! it out, so the serving layer does not build another.
+//!
+//! ## No knobs
+//!
+//! Every version's hierarchy is built by MemoGFK, the one engine behind
+//! served models. [`DynConfig`] has no fields; it stays only as the last
+//! argument of [`DynamicModel::new`] so existing callers keep compiling.
 
 use parclust::{condense_tree, dendrogram_par, hdbscan_mst_on_tree, CondensedTree, Dendrogram};
 use parclust_geom::Point;
 use parclust_kdtree::KdTree;
 use rayon::prelude::*;
 
-/// Tuning for a [`DynamicModel`]. The default matches the batch pipeline
-/// (in-memory MemoGFK restreams).
+/// Construction options for [`DynamicModel::new`]. The struct has no
+/// fields: every version is built by MemoGFK, the one engine behind served
+/// hierarchies, so there is nothing left to tune. It stays so that callers
+/// of `DynamicModel::new(.., DynConfig::default())` keep compiling.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DynConfig {
-    /// `Some(cap)` routes the MST restream through the bounded-memory
-    /// streaming pipeline (at most `cap` live WSPD pairs per batch);
-    /// `None` uses MemoGFK. Both are bit-identical.
-    pub max_live_pairs: Option<usize>,
-}
+pub struct DynConfig {}
 
 /// One batch of mutations. Deletes name *current live indices* (positions
 /// in [`DynamicModel::points`] before this batch); survivors keep their
@@ -121,7 +125,6 @@ pub struct ApplyReport {
 pub struct DynamicModel<const D: usize> {
     min_pts: usize,
     min_cluster_size: usize,
-    cfg: DynConfig,
     version: u64,
     points: Vec<Point<D>>,
     /// Raw squared `minPts`-th-NN distance per live point — the exact
@@ -142,7 +145,7 @@ impl<const D: usize> DynamicModel<D> {
         points: &[Point<D>],
         min_pts: usize,
         min_cluster_size: usize,
-        cfg: DynConfig,
+        _cfg: DynConfig,
     ) -> Self {
         assert!(!points.is_empty(), "dynamic model needs at least one point");
         assert!(min_pts >= 1, "minPts must be at least 1");
@@ -152,11 +155,10 @@ impl<const D: usize> DynamicModel<D> {
         let cd_sq = kth_dists_sq(&tree, &points, min_pts, &all);
         let core_distances: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
         let (dendrogram, condensed) =
-            build_hierarchy(&tree, min_pts, min_cluster_size, &core_distances, &cfg);
+            build_hierarchy(&tree, min_pts, min_cluster_size, &core_distances);
         DynamicModel {
             min_pts,
             min_cluster_size,
-            cfg,
             version: 1,
             points,
             cd_sq,
@@ -178,7 +180,6 @@ impl<const D: usize> DynamicModel<D> {
         tree: KdTree<D>,
         min_pts: usize,
         min_cluster_size: usize,
-        cfg: DynConfig,
         core_distances: Vec<f64>,
         dendrogram: Dendrogram,
         condensed: CondensedTree,
@@ -219,7 +220,6 @@ impl<const D: usize> DynamicModel<D> {
         Ok(DynamicModel {
             min_pts,
             min_cluster_size,
-            cfg,
             version,
             points,
             cd_sq,
@@ -244,10 +244,6 @@ impl<const D: usize> DynamicModel<D> {
 
     pub fn min_cluster_size(&self) -> usize {
         self.min_cluster_size
-    }
-
-    pub fn config(&self) -> &DynConfig {
-        &self.cfg
     }
 
     pub fn version(&self) -> u64 {
@@ -360,13 +356,8 @@ impl<const D: usize> DynamicModel<D> {
             cd_sq[i] = d_sq;
         }
         let core_distances: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
-        let (dendrogram, condensed) = build_hierarchy(
-            &tree,
-            self.min_pts,
-            self.min_cluster_size,
-            &core_distances,
-            &self.cfg,
-        );
+        let (dendrogram, condensed) =
+            build_hierarchy(&tree, self.min_pts, self.min_cluster_size, &core_distances);
         self.points = points;
         self.cd_sq = cd_sq;
         self.core_distances = core_distances;
@@ -409,7 +400,7 @@ fn kth_dists_sq<const D: usize>(
         .collect()
 }
 
-/// MST restream over exact core distances on the version's one kd-tree,
+/// MemoGFK MST over exact core distances on the version's one kd-tree,
 /// then dendrogram + condensed tree — identical to the batch pipeline
 /// (`ClusterModel::build` shape).
 fn build_hierarchy<const D: usize>(
@@ -417,9 +408,8 @@ fn build_hierarchy<const D: usize>(
     min_pts: usize,
     min_cluster_size: usize,
     cd: &[f64],
-    cfg: &DynConfig,
 ) -> (Dendrogram, CondensedTree) {
-    let h = hdbscan_mst_on_tree(tree, min_pts, cd, cfg.max_live_pairs);
+    let h = hdbscan_mst_on_tree(tree, min_pts, cd);
     let dendrogram = dendrogram_par(tree.len(), &h.edges, 0);
     let condensed = condense_tree(&dendrogram, min_cluster_size);
     (dendrogram, condensed)
@@ -661,7 +651,7 @@ mod tests {
         let tree = KdTree::build(&pts);
         let (back, builds) = tree_builds(|| {
             let (cd, d, c) = parts;
-            DynamicModel::from_parts(pts.clone(), tree, 4, 3, DynConfig::default(), cd, d, c, 1)
+            DynamicModel::from_parts(pts.clone(), tree, 4, 3, cd, d, c, 1)
         });
         assert_eq!(builds, 0, "from_parts takes the caller's tree");
         same_as_fresh_build(&mut back.unwrap());
@@ -721,7 +711,6 @@ mod tests {
             KdTree::build(m.points()),
             4,
             3,
-            DynConfig::default(),
             m.core_distances().to_vec(),
             m.dendrogram().clone(),
             m.condensed().clone(),
@@ -735,7 +724,6 @@ mod tests {
             KdTree::build(m.points()),
             5,
             3,
-            DynConfig::default(),
             m.core_distances().to_vec(),
             m.dendrogram().clone(),
             m.condensed().clone(),
@@ -748,7 +736,6 @@ mod tests {
             KdTree::build(&m.points()[1..]),
             4,
             3,
-            DynConfig::default(),
             m.core_distances().to_vec(),
             m.dendrogram().clone(),
             m.condensed().clone(),
@@ -757,24 +744,5 @@ mod tests {
         .err()
         .expect("a tree over other points must be rejected");
         assert!(err.contains("kd-tree holds 59 points"), "{err}");
-    }
-
-    #[test]
-    fn streaming_restream_is_bit_identical_to_memo() {
-        let pts = grid_points(100, 17);
-        let cfg_stream = DynConfig {
-            max_live_pairs: Some(37),
-        };
-        let mut a = DynamicModel::new(&pts, 4, 4, DynConfig::default());
-        let mut b = DynamicModel::new(&pts, 4, 4, cfg_stream);
-        let batch = MutationBatch {
-            inserts: grid_points(8, 18),
-            deletes: vec![4, 40],
-        };
-        a.apply(&batch).unwrap();
-        b.apply(&batch).unwrap();
-        assert_eq!(a.core_distances(), b.core_distances());
-        assert_eq!(a.dendrogram().height, b.dendrogram().height);
-        assert_eq!(a.condensed().point_cluster, b.condensed().point_cluster);
     }
 }

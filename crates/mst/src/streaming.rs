@@ -17,13 +17,11 @@
 //! edge, the candidate closes a cycle on which it is strictly heaviest and
 //! can never enter the MST.
 //!
-//! The batching-invariance guarantee is also what makes the dynamic-model
-//! merge path (`crates/dyn`) sound: after an insert/delete batch it
-//! restreams the *new* tree's WSPD pairs through a fresh forest rather
-//! than patching the old forest's edges, because MST edge *sets* under
-//! tied weights depend on which pairs a particular tree decomposition
-//! emitted — only the streamed-vs-monolithic identity above is
-//! decomposition-independent, carried core distances are not edges.
+//! Batching invariance is not decomposition invariance: MST edge *sets*
+//! under tied weights depend on which pairs a particular tree
+//! decomposition emitted. That is why the dynamic model (`crates/dyn`)
+//! rebuilds the MST from the *new* tree's WSPD pairs after each batch
+//! instead of patching the old forest's edges.
 
 use parclust_primitives::unionfind::UnionFind;
 

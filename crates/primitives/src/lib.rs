@@ -2,9 +2,8 @@
 //!
 //! This crate provides the building blocks assumed by the paper's algorithms
 //! (Section 2.2, "Parallel Primitives"): prefix sum, filter/pack, split,
-//! semisort-style grouping, parallel selection, list ranking, Euler tours,
-//! the `WRITE_MIN` priority concurrent write, union-find, and a
-//! phase-concurrent hash table.
+//! parallel selection, list ranking, Euler tours, the `WRITE_MIN` priority
+//! concurrent write, union-find, and a phase-concurrent hash table.
 //!
 //! All primitives are implemented on top of [`rayon`]'s work-stealing
 //! fork-join runtime, the Rust analogue of the Cilk runtime used by the
@@ -20,7 +19,6 @@ pub mod listrank;
 pub mod pack;
 pub mod scan;
 pub mod select;
-pub mod semisort;
 pub mod unionfind;
 
 /// Inputs smaller than this are processed sequentially by the parallel

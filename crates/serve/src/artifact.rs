@@ -44,7 +44,7 @@ use parclust::{
     condense_tree, core_distances_on_tree, dendrogram_par, hdbscan_mst_on_tree, CondensedTree,
     Dendrogram, NOISE,
 };
-use parclust_data::io::{collect_points, le, PointSource};
+use parclust_data::io::le;
 use parclust_geom::{Aabb, Point};
 use parclust_kdtree::KdTree;
 use std::io::{self, Read, Write};
@@ -150,54 +150,10 @@ impl<const D: usize> ClusterModel<D> {
     /// `min_cluster_size` must be ≥ 2 (condensed-tree requirement) and
     /// `points` non-empty (the kd-tree needs at least one point).
     pub fn build(points: &[Point<D>], min_pts: usize, min_cluster_size: usize) -> Self {
-        Self::build_with_options(points, min_pts, min_cluster_size, None)
-    }
-
-    /// [`ClusterModel::build`] fed by a [`PointSource`] — the ingestion
-    /// path for `.pcls` chunked point files and other streamed inputs.
-    ///
-    /// The training points themselves end up resident either way (the
-    /// artifact stores them, and the kd-tree indexes them), but ingestion
-    /// reads bounded chunks instead of one whole-file buffer, and
-    /// `max_live_pairs` (when `Some`) routes the hierarchy build through
-    /// the bounded-memory streaming HDBSCAN\* pipeline — WSPD pair batches
-    /// capped at that many live pairs — instead of MemoGFK's full
-    /// materialization. The streaming pipeline is bit-identical to the
-    /// in-memory one (pinned by `tests/streaming_semantics.rs`), so models
-    /// built either way answer identical queries.
-    pub fn build_from_source<S: PointSource<D>>(
-        src: &mut S,
-        min_pts: usize,
-        min_cluster_size: usize,
-        max_live_pairs: Option<usize>,
-    ) -> io::Result<Self> {
-        let points = collect_points(src)?;
-        if points.is_empty() {
-            return Err(bad("point source yielded zero points"));
-        }
-        Ok(Self::build_with_options(
-            &points,
-            min_pts,
-            min_cluster_size,
-            max_live_pairs,
-        ))
-    }
-
-    /// [`ClusterModel::build`] with the hierarchy engine exposed: `None`
-    /// runs MemoGFK in memory, `Some(cap)` runs the streaming pipeline
-    /// with at most `cap` live WSPD pairs. Use this (not a
-    /// [`SliceSource`](parclust_data::io::SliceSource) round-trip) when
-    /// the points are already resident.
-    pub fn build_with_options(
-        points: &[Point<D>],
-        min_pts: usize,
-        min_cluster_size: usize,
-        max_live_pairs: Option<usize>,
-    ) -> Self {
         assert!(!points.is_empty(), "model needs at least one point");
         let tree = KdTree::build(points);
         let core_distances = core_distances_on_tree(&tree, min_pts);
-        let h = hdbscan_mst_on_tree(&tree, min_pts, &core_distances, max_live_pairs);
+        let h = hdbscan_mst_on_tree(&tree, min_pts, &core_distances);
         let dendrogram = dendrogram_par(points.len(), &h.edges, 0);
         let condensed = condense_tree(&dendrogram, min_cluster_size);
         ClusterModel {
@@ -601,13 +557,11 @@ mod tests {
     fn source_fed_build_matches_in_memory_build() {
         let pts = blobs2(90, 7);
         let base = ClusterModel::build(&pts, 4, 6);
-        // Chunked-file source + streaming hierarchy, tiny chunks and pair
-        // batches to force many boundaries.
+        // A chunked file with tiny chunks to force many boundaries.
         let path = tmp("source.pcls");
         parclust_data::write_chunked(&path, &pts, 17).unwrap();
-        let mut src = parclust_data::ChunkedReader::<2>::open(&path).unwrap();
-        let streamed = ClusterModel::build_from_source(&mut src, 4, 6, Some(64)).unwrap();
-        std::fs::remove_file(&path).ok();
+        let from_file = parclust_data::read_chunked::<2>(&path).unwrap();
+        let streamed = ClusterModel::build(&from_file, 4, 6);
         assert_eq!(streamed.points, base.points);
         assert_eq!(streamed.core_distances, base.core_distances);
         assert_eq!(streamed.dendrogram.height, base.dendrogram.height);
@@ -617,10 +571,11 @@ mod tests {
             streamed.condensed.point_cluster,
             base.condensed.point_cluster
         );
-        // Empty sources are a clean error, not a kd-tree panic.
-        let empty: Vec<Point<2>> = Vec::new();
-        let mut src = parclust_data::SliceSource::new(&empty, 8);
-        assert!(ClusterModel::<2>::build_from_source(&mut src, 4, 6, None).is_err());
+        // An empty file reads back as zero points; `serve build` turns
+        // that into a clean error before building.
+        parclust_data::write_chunked::<2>(&path, &[], 8).unwrap();
+        assert!(parclust_data::read_chunked::<2>(&path).unwrap().is_empty());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

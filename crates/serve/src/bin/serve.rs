@@ -4,7 +4,7 @@
 //! ```sh
 //! serve build --gen varden --dims 2 --n 20000 --out model.pcsm
 //! serve build --csv points.csv --dims 3 --minpts 10 --out model.pcsm
-//! serve build --points-file points.pcls --max-live-pairs 2000000 --out model.pcsm
+//! serve build --points-file points.pcls --out model.pcsm
 //! serve gen-points --gen uniform --dims 3 --n 1000000 --out points.pcls
 //! serve serve --model model.pcsm --addr 127.0.0.1:8077 --workers 4 --threads 4
 //! serve serve --models-dir artifacts/ --default geo
@@ -12,8 +12,10 @@
 //! serve query --model model.pcsm --eps 2.5
 //! serve query --model model.pcsm --eom-eps 1.0
 //! ```
+//!
+//! Each subcommand accepts only its own flags: an unknown flag (a typo
+//! such as `--minpt`, or a removed one) exits 2 naming it.
 
-use parclust_data::PointSource;
 use parclust_serve::{
     with_model_dims, ClusterModel, LabelingSpec, ModelRegistry, QueryEngine, ServerConfig,
 };
@@ -23,8 +25,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  serve build (--csv PATH | --points-file PATH.pcls | \
          --gen uniform|varden|gps|sensor) --dims D \
-         [--n N] [--seed S] [--minpts M] [--min-cluster-size C] \
-         [--max-live-pairs P] --out PATH\n  \
+         [--n N] [--seed S] [--minpts M] [--min-cluster-size C] --out PATH\n  \
          serve gen-points --gen uniform|varden|gps|sensor --dims D --n N [--seed S] \
          [--chunk-len C] --out PATH.pcls\n  \
          serve serve (--model PATH [--id NAME])... [--models-dir DIR] \
@@ -53,6 +54,23 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: &str) 
     let raw = flag(args, name).unwrap_or_else(|| default.into());
     raw.parse()
         .unwrap_or_else(|_| bad_arg(format_args!("invalid value {raw:?} for {name}")))
+}
+
+/// Reject any argument of subcommand `cmd` that is not one of its `valued`
+/// flags (each followed by a value) or `switches` (boolean flags), so a
+/// typo never silently falls back to a default.
+fn check_flags(args: &[String], cmd: &str, valued: &[&str], switches: &[&str]) {
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if valued.contains(&a) {
+            i += 2;
+        } else if switches.contains(&a) {
+            i += 1;
+        } else {
+            bad_arg(format_args!("unknown flag {a:?} for `serve {cmd}`"));
+        }
+    }
 }
 
 /// Reject dimensionalities `with_model_dims!` cannot monomorphize, before
@@ -112,6 +130,12 @@ fn generate<const D: usize>(gen: &str, n: usize, seed: u64) -> Vec<parclust::Poi
 /// the feedstock for `build --points-file` (and for CI's streamed-build
 /// smoke leg).
 fn gen_points(args: &[String]) {
+    check_flags(
+        args,
+        "gen-points",
+        &["--gen", "--dims", "--n", "--seed", "--chunk-len", "--out"],
+        &[],
+    );
     let out = flag(args, "--out").unwrap_or_else(|| usage());
     let dims: usize = check_dims(parse_flag(args, "--dims", "2"));
     let n: usize = parse_flag(args, "--n", "10000");
@@ -153,13 +177,27 @@ fn has_flag(args: &[String], name: &str) -> bool {
 }
 
 fn build(args: &[String]) {
+    check_flags(
+        args,
+        "build",
+        &[
+            "--csv",
+            "--points-file",
+            "--gen",
+            "--dims",
+            "--n",
+            "--seed",
+            "--minpts",
+            "--min-cluster-size",
+            "--out",
+        ],
+        &[],
+    );
     let out = flag(args, "--out").unwrap_or_else(|| usage());
     let min_pts: usize = parse_flag(args, "--minpts", "10");
     let min_cluster_size: usize = parse_flag(args, "--min-cluster-size", "10");
     let n: usize = parse_flag(args, "--n", "10000");
     let seed: u64 = parse_flag(args, "--seed", "42");
-    let max_live_pairs: Option<usize> =
-        flag(args, "--max-live-pairs").map(|_| parse_flag(args, "--max-live-pairs", "0"));
     let csv = flag(args, "--csv");
     let points_file = flag(args, "--points-file");
     // A .pcls file fixes its own dimensionality; otherwise --dims decides.
@@ -173,36 +211,32 @@ fn build(args: &[String]) {
     });
     with_model_dims!(dims, |D| {
         let t0 = std::time::Instant::now();
-        let model = if let Some(path) = &points_file {
-            // Streamed ingestion: bounded chunks from the .pcls file, and
-            // (with --max-live-pairs) bounded WSPD pair batches — the
-            // multi-million-point build path.
-            let mut src = parclust_data::ChunkedReader::<D>::open(std::path::Path::new(path))
-                .unwrap_or_else(|e| fail(format_args!("open {path}: {e}")));
-            eprintln!(
-                "building model from {path}: {} points, {}D (streamed), minPts={min_pts}, \
-                 minClusterSize={min_cluster_size}, maxLivePairs={max_live_pairs:?}",
-                src.total(),
-                D
-            );
-            ClusterModel::build_from_source(&mut src, min_pts, min_cluster_size, max_live_pairs)
-                .unwrap_or_else(|e| fail(format_args!("build from {path}: {e}")))
-        } else {
-            let points: Vec<parclust::Point<D>> = if let Some(path) = &csv {
+        let (points, source): (Vec<parclust::Point<D>>, &str) = match (&points_file, &csv) {
+            (Some(path), _) => (
+                parclust_data::read_chunked(std::path::Path::new(path))
+                    .unwrap_or_else(|e| fail(format_args!("read {path}: {e}"))),
+                path,
+            ),
+            (None, Some(path)) => (
                 parclust_data::read_csv(std::path::Path::new(path))
-                    .unwrap_or_else(|e| fail(format_args!("read {path}: {e}")))
-            } else {
-                generate(flag(args, "--gen").as_deref().unwrap_or("varden"), n, seed)
-            };
-            eprintln!(
-                "building model: {} points, {}D, minPts={min_pts}, minClusterSize={min_cluster_size}",
-                points.len(),
-                D
-            );
-            // Points are already resident here — build directly instead of
-            // round-tripping them through a SliceSource copy.
-            ClusterModel::build_with_options(&points, min_pts, min_cluster_size, max_live_pairs)
+                    .unwrap_or_else(|e| fail(format_args!("read {path}: {e}"))),
+                path,
+            ),
+            (None, None) => (
+                generate(flag(args, "--gen").as_deref().unwrap_or("varden"), n, seed),
+                "generator",
+            ),
         };
+        if points.is_empty() {
+            fail(format_args!("{source} holds no points"));
+        }
+        eprintln!(
+            "building model from {source}: {} points, {}D, minPts={min_pts}, \
+             minClusterSize={min_cluster_size}",
+            points.len(),
+            D
+        );
+        let model = ClusterModel::build(&points, min_pts, min_cluster_size);
         eprintln!("built in {:.2}s", t0.elapsed().as_secs_f64());
         model
             .save(std::path::Path::new(&out))
@@ -225,6 +259,21 @@ fn id_from_path(path: &str) -> String {
 }
 
 fn serve(args: &[String]) {
+    check_flags(
+        args,
+        "serve",
+        &[
+            "--model",
+            "--id",
+            "--models-dir",
+            "--manifest",
+            "--default",
+            "--addr",
+            "--workers",
+            "--threads",
+        ],
+        &[],
+    );
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8077".into());
     let workers: usize = parse_flag(args, "--workers", "4");
     let pool_threads: usize = parse_flag(args, "--threads", "0");
@@ -293,6 +342,12 @@ fn serve(args: &[String]) {
 }
 
 fn query(args: &[String]) {
+    check_flags(
+        args,
+        "query",
+        &["--model", "--eps", "--k", "--eom-eps"],
+        &["--labels"],
+    );
     let model_path = flag(args, "--model").unwrap_or_else(|| usage());
     let spec = if flag(args, "--eps").is_some() {
         LabelingSpec::Cut {

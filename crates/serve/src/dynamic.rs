@@ -17,7 +17,7 @@
 //!
 //! ```text
 //! "PCDY" | dyn_version u32 (= 2) | dims u32
-//! max_live_pairs u64                   (0 = MemoGFK)
+//! reserved u64                         (written 0, ignored on read)
 //! model_version u64 | base_version u64
 //! base_len u64 | base bytes            (a complete "PCSM" artifact)
 //! n_batches u64, per batch: n_inserts u64, coords n·D f64,
@@ -32,7 +32,10 @@
 //! the current state as the new base, and empties the journal. Version 1
 //! also stored the removed merge-vs-rebuild policy knobs; it is rejected
 //! by the version check, as is a base artifact of any other version than
-//! the current one.
+//! the current one. The reserved field once held `max_live_pairs`, the
+//! pair cap of a removed streaming build engine; that engine built
+//! hierarchies bit-identical to MemoGFK's, so wrappers that stored a
+//! nonzero cap load exactly.
 //!
 //! ## One kd-tree per version
 //!
@@ -120,17 +123,12 @@ pub struct DynEntry<const D: usize> {
 impl<const D: usize> DynEntry<D> {
     /// Wrap a freshly loaded base artifact as a dynamic model at
     /// `base_version` with an empty journal.
-    pub fn from_artifact(
-        model: ClusterModel<D>,
-        base_bytes: Vec<u8>,
-        cfg: DynConfig,
-    ) -> io::Result<Arc<Self>> {
+    pub fn from_artifact(model: ClusterModel<D>, base_bytes: Vec<u8>) -> io::Result<Arc<Self>> {
         let mut dyn_model = DynamicModel::from_parts(
             model.points,
             model.tree,
             model.min_pts,
             model.min_cluster_size,
-            cfg,
             model.core_distances,
             model.dendrogram,
             model.condensed,
@@ -179,7 +177,7 @@ fn write_wrapper<const D: usize>(state: &DynState<D>) -> io::Result<Vec<u8>> {
     w.extend_from_slice(DYN_MAGIC);
     le::write_u32(w, DYN_FORMAT_VERSION)?;
     le::write_u32(w, D as u32)?;
-    le::write_u64(w, state.model.config().max_live_pairs.unwrap_or(0) as u64)?;
+    le::write_u64(w, 0)?; // reserved
     le::write_u64(w, state.model.version())?;
     le::write_u64(w, state.base_version)?;
     le::write_u64(w, state.base.len() as u64)?;
@@ -219,7 +217,6 @@ impl<const D: usize> DynModelHandle for DynEntry<D> {
             "n": state.model.len() as u64,
             "journal_batches": state.journal.len() as u64,
             "base_version": state.base_version,
-            "max_live_pairs": state.model.config().max_live_pairs.unwrap_or(0) as u64,
         })
     }
 
@@ -345,10 +342,7 @@ fn from_bytes<const D: usize>(bytes: &[u8]) -> io::Result<Arc<DynEntry<D>>> {
             "dynamic artifact has {dims} dims, expected {D}"
         )));
     }
-    let cap = le::read_u64(&mut r)? as usize;
-    let cfg = DynConfig {
-        max_live_pairs: (cap != 0).then_some(cap),
-    };
+    let _reserved = le::read_u64(&mut r)?;
     let model_version = le::read_u64(&mut r)?;
     let base_version = le::read_u64(&mut r)?;
     let base_len = le::read_u64(&mut r)? as usize;
@@ -362,7 +356,6 @@ fn from_bytes<const D: usize>(bytes: &[u8]) -> io::Result<Arc<DynEntry<D>>> {
         base_model.tree,
         base_model.min_pts,
         base_model.min_cluster_size,
-        cfg,
         base_model.core_distances,
         base_model.dendrogram,
         base_model.condensed,
@@ -438,8 +431,9 @@ pub fn load_dynamic_path(path: &Path) -> io::Result<Arc<dyn DynModelHandle>> {
 }
 
 /// Wrap an ordinary `"PCSM"` artifact at `path` as a fresh dynamic model
-/// with the given knobs (empty journal, version 1).
-pub fn wrap_artifact_path(path: &Path, cfg: DynConfig) -> io::Result<Arc<dyn DynModelHandle>> {
+/// (empty journal, version 1). [`DynConfig`] has no fields; the parameter
+/// keeps existing callers compiling.
+pub fn wrap_artifact_path(path: &Path, _cfg: DynConfig) -> io::Result<Arc<dyn DynModelHandle>> {
     let bytes = std::fs::read(path)?;
     let dims = crate::artifact::peek_dims(path)?;
     if !crate::SUPPORTED_DIMS.contains(&dims) {
@@ -451,7 +445,7 @@ pub fn wrap_artifact_path(path: &Path, cfg: DynConfig) -> io::Result<Arc<dyn Dyn
     }
     Ok(with_model_dims!(dims, |D| {
         let model = ClusterModel::<D>::from_bytes(&bytes)?;
-        DynEntry::<D>::from_artifact(model, bytes, cfg)?
+        DynEntry::<D>::from_artifact(model, bytes)?
     }))
 }
 
@@ -609,6 +603,42 @@ mod tests {
         let (_, builds) = tree_builds(|| entry.compact(&registry, "m", None).unwrap());
         assert_eq!(builds, 1, "compact");
         parclust_obs::trace::disable();
+    }
+
+    #[test]
+    fn wrappers_with_a_stored_pair_cap_still_load() {
+        // Before the reserved field, a capped model stored its pair cap at
+        // byte 12; the cap never changed the hierarchy, so such a wrapper
+        // loads exactly.
+        let registry = ModelRegistry::new();
+        let entry = entry_for(&blob_points(50, 6), 6);
+        registry.insert("m", entry.query_handle()).unwrap();
+        entry
+            .mutate(&registry, "m", &[8.0, 8.0, 8.5, 8.5], &[2])
+            .unwrap();
+        let path = tmp("capped.pcdy");
+        entry.save(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(bytes[12..20], [0; 8], "this build writes the field as 0");
+        bytes[12..20].copy_from_slice(&200_000u64.to_le_bytes());
+        let plen = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..plen]).to_le_bytes();
+        bytes[plen..].copy_from_slice(&sum);
+        let back = load_dynamic_path_bytes(&bytes).unwrap();
+        assert_eq!(back.version(), 2);
+        // From scratch over the live set: index 2 deleted, inserts appended.
+        let mut live = blob_points(50, 6);
+        live.remove(2);
+        live.extend([Point([8.0, 8.0]), Point([8.5, 8.5])]);
+        let scratch = handle_for_model(ClusterModel::build(&live, 4, 3));
+        let spec = crate::engine::LabelingSpec::Eom {
+            cluster_selection_epsilon: 0.0,
+        };
+        assert_eq!(
+            back.query_handle().labeling(spec).labels,
+            scratch.labeling(spec).labels
+        );
     }
 
     #[test]

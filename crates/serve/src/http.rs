@@ -22,14 +22,14 @@
 //! | `POST /models/{id}/assign` (alias `/assign`) | `{"points": [[..]..], "labeling"?, "max_dist"?}` | out-of-sample labels |
 //! | `POST /models/{id}/assign_binary` (alias `/assign_binary`) | [`proto`](crate::proto) request frame | response frame |
 //! | `POST /models/{id}/insert` | `{"points"?: [[..]..], "deletes"?: [n..]}` | mutate a dynamic model |
-//! | `POST /admin/load` | `{"id": s, "path": s, "default"?: bool, "dynamic"?: bool, ...}` | load an artifact |
+//! | `POST /admin/load` | `{"id": s, "path": s, "default"?: bool, "dynamic"?: bool}` | load an artifact |
 //! | `POST /admin/unload` | `{"id": s}` | drop a model |
 //! | `POST /admin/compact` | `{"id": s, "save_path"?: s}` | rebuild + rebase a dynamic model |
 //!
 //! `/admin/load` with `"dynamic": true` wraps a `.pcsm` artifact as a
-//! mutable model (optional knob: `"max_live_pairs"`, the streaming
-//! restream's pair cap); `.pcdy` dynamic wrappers load as dynamic either
-//! way. The removed `"policy"` and `"rebuild_fraction"` knobs answer 400.
+//! mutable model; `.pcdy` dynamic wrappers load as dynamic either way.
+//! It takes no knobs: the removed ones (`REMOVED_LOAD_KNOBS`: the old
+//! merge-vs-rebuild policy and streaming pair cap) answer 400.
 //! Each `insert` batch applies the incremental pipeline and publishes a
 //! new immutable model version — concurrent queries keep reading the
 //! version they resolved.
@@ -533,16 +533,12 @@ fn admin_load(registry: &ModelRegistry, body: &[u8]) -> (u16, Body) {
         return (
             400,
             json_err(format!(
-                "{knob:?} was removed: every insert recomputes exactly the core \
-                 distances it can change"
+                "{knob:?} was removed: dynamic models take no load-time knobs"
             )),
         );
     }
     let load_result = if v.get("dynamic").and_then(Value::as_bool) == Some(true) {
-        match dyn_config_from_json(&v) {
-            Ok(cfg) => load_dynamic(registry, id, std::path::Path::new(path), cfg),
-            Err(msg) => return (400, json_err(msg)),
-        }
+        load_dynamic(registry, id, std::path::Path::new(path))
     } else {
         registry.load_path(id, std::path::Path::new(path))
     };
@@ -604,37 +600,20 @@ fn parse_flat_points(raw: &[Value], dims: usize) -> Result<Vec<f64>, String> {
     Ok(flat)
 }
 
-/// `/admin/load` knobs of the merge-vs-rebuild policy, which no longer
-/// exists; naming one is an error rather than silently ignored.
-const REMOVED_LOAD_KNOBS: [&str; 2] = ["policy", "rebuild_fraction"];
+/// `/admin/load` knobs that no longer exist: the merge-vs-rebuild policy
+/// and the streaming build engine's pair cap. Naming one is an error
+/// rather than silently ignored.
+const REMOVED_LOAD_KNOBS: [&str; 3] = ["policy", "rebuild_fraction", "max_live_pairs"];
 
-/// Dynamic-model knobs from an `/admin/load` body.
-fn dyn_config_from_json(v: &Value) -> Result<parclust_dyn::DynConfig, String> {
-    let mut cfg = parclust_dyn::DynConfig::default();
-    if let Some(c) = v.get("max_live_pairs") {
-        let c = c
-            .as_u64()
-            .ok_or("max_live_pairs must be a non-negative integer")?;
-        cfg.max_live_pairs = if c == 0 { None } else { Some(c as usize) };
-    }
-    Ok(cfg)
-}
-
-/// `/admin/load` with `"dynamic": true`: wrap a base artifact with the
-/// requested knobs, or — if the file is already a dynamic wrapper — load
-/// it (the wrapper carries its own knobs).
-fn load_dynamic(
-    registry: &ModelRegistry,
-    id: &str,
-    path: &std::path::Path,
-    cfg: parclust_dyn::DynConfig,
-) -> io::Result<()> {
+/// `/admin/load` with `"dynamic": true`: wrap a base artifact, or — if the
+/// file is already a dynamic wrapper — load it.
+fn load_dynamic(registry: &ModelRegistry, id: &str, path: &std::path::Path) -> io::Result<()> {
     let mut head = [0u8; 4];
     std::fs::File::open(path)?.read_exact(&mut head)?;
     if &head == crate::dynamic::DYN_MAGIC {
         return registry.load_path(id, path);
     }
-    let dh = crate::dynamic::wrap_artifact_path(path, cfg)?;
+    let dh = crate::dynamic::wrap_artifact_path(path, parclust_dyn::DynConfig::default())?;
     registry
         .insert_dynamic(id, dh)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))

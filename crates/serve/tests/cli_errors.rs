@@ -138,3 +138,74 @@ fn serve_no_subcommand_prints_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr(&out).contains("usage:"));
 }
+
+/// Exactly one diagnostic line on stderr.
+fn assert_one_line(out: &Output) {
+    let err = stderr(out);
+    assert_eq!(err.lines().count(), 1, "expected one stderr line:\n{err}");
+}
+
+#[test]
+fn serve_unknown_flag_is_a_usage_error() {
+    // A typo must not silently fall back to the default (here minPts=10).
+    let out = run(
+        SERVE,
+        &[
+            "build",
+            "--gen",
+            "uniform",
+            "--dims",
+            "2",
+            "--n",
+            "500",
+            "--minpt",
+            "3",
+            "--bogus",
+            "1",
+            "--out",
+            "/dev/null",
+        ],
+    );
+    assert_clean_failure(&out, 2, "serve: error: unknown flag \"--minpt\"");
+    assert_one_line(&out);
+    // Boolean flags are checked too, per subcommand.
+    let out = run(SERVE, &["query", "--model", "m.pcsm", "--lables"]);
+    assert_clean_failure(&out, 2, "unknown flag \"--lables\" for `serve query`");
+    assert_one_line(&out);
+    let out = run(SERVE, &["gen-points", "--labels", "--out", "/dev/null"]);
+    assert_clean_failure(&out, 2, "unknown flag \"--labels\" for `serve gen-points`");
+}
+
+#[test]
+fn serve_removed_max_live_pairs_flag_is_a_usage_error() {
+    let out = run(
+        SERVE,
+        &[
+            "build",
+            "--gen",
+            "uniform",
+            "--n",
+            "500",
+            "--max-live-pairs",
+            "200000",
+            "--out",
+            "/dev/null",
+        ],
+    );
+    assert_clean_failure(&out, 2, "unknown flag \"--max-live-pairs\"");
+    assert_one_line(&out);
+}
+
+#[test]
+fn serve_build_empty_points_file_is_a_runtime_error() {
+    let path = std::env::temp_dir().join(format!("parclust-cli-empty-{}.pcls", std::process::id()));
+    parclust_data::write_chunked::<2>(&path, &[], 8).unwrap();
+    let path_str = path.to_str().unwrap().to_string();
+    let out = run(
+        SERVE,
+        &["build", "--points-file", &path_str, "--out", "/dev/null"],
+    );
+    std::fs::remove_file(&path).ok();
+    assert_clean_failure(&out, 1, "holds no points");
+    assert_one_line(&out);
+}

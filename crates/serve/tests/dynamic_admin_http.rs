@@ -10,9 +10,10 @@
 //!   `400` with a JSON `error` field on the wire (regression for the
 //!   close-with-unread-data RST race that used to destroy the queued
 //!   400 before the peer could read it), as do the removed
-//!   `policy`/`rebuild_fraction` load knobs, version-2 (tree-carrying)
-//!   model artifacts and version-1 `PCDY` wrappers; mutation routes
-//!   distinguish read-only (400) from unknown (404) models.
+//!   `policy`/`rebuild_fraction`/`max_live_pairs` load knobs,
+//!   version-2 (tree-carrying) model artifacts and version-1 `PCDY`
+//!   wrappers; mutation routes distinguish read-only (400) from unknown
+//!   (404) models.
 
 use parclust::{Point, NOISE};
 use parclust_serve::artifact::fnv1a64;
@@ -282,7 +283,7 @@ fn malformed_admin_bodies_answer_400_json_not_a_dropped_connection() {
     assert_eq!(status, 400);
     assert!(body.get("error").is_some(), "{body}");
 
-    // The removed merge-vs-rebuild knobs are named, not silently ignored.
+    // The removed load knobs are named, not silently ignored.
     let base_path = tmp("sweep-base.pcsm");
     ClusterModel::build(&blob_points(40, 33), 4, 3)
         .save(&base_path)
@@ -290,6 +291,7 @@ fn malformed_admin_bodies_answer_400_json_not_a_dropped_connection() {
     for (knob, value) in [
         ("policy", serde_json::json!("rebuild")),
         ("rebuild_fraction", serde_json::json!(0.25)),
+        ("max_live_pairs", serde_json::json!(200_000)),
     ] {
         let mut load = serde_json::json!({
             "id": "knobbed",

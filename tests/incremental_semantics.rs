@@ -2,8 +2,8 @@
 //!
 //! For *every* generated mutation sequence — inserts, deletes, mixed
 //! batches, any batch granularity, `rebuild()` (full recompute, the
-//! compaction primitive) interleaved at random steps, memo or streaming
-//! restream, at 1/2/4/8 threads — the incrementally maintained model must
+//! compaction primitive) interleaved at random steps, at 1/2/4/8
+//! threads — the incrementally maintained model must
 //! be **bit identical** to a from-scratch HDBSCAN\* build over the
 //! surviving live points: same core distances, same ordered dendrogram,
 //! same condensed tree and labels.
@@ -130,13 +130,6 @@ fn initial_points_strategy(max_n: usize) -> impl Strategy<Value = Vec<Point<2>>>
     })
 }
 
-fn config_strategy() -> impl Strategy<Value = DynConfig> {
-    (0usize..600).prop_map(|cap| DynConfig {
-        // Caps below 8 stand in for "no cap": exercise the MemoGFK restream.
-        max_live_pairs: if cap < 8 { None } else { Some(cap) },
-    })
-}
-
 /// Where a sequence calls `rebuild()`.
 #[derive(Debug, Clone, Copy)]
 enum Rebuilds {
@@ -153,11 +146,10 @@ fn run_sequence(
     ops: &[RawOp],
     min_pts: usize,
     mcs: usize,
-    cfg: DynConfig,
     rebuilds: Rebuilds,
     check_each_step: bool,
 ) -> Fingerprint {
-    let mut m = DynamicModel::new(init, min_pts, mcs, cfg);
+    let mut m = DynamicModel::new(init, min_pts, mcs, DynConfig::default());
     let check = |m: &DynamicModel<2>, what: String| {
         if check_each_step {
             let want = scratch_fingerprint(m.points(), min_pts, mcs);
@@ -198,20 +190,19 @@ proptest! {
 
     /// Core property: after every batch of every generated sequence, the
     /// incremental model equals a from-scratch rebuild, bit for bit —
-    /// wherever rebuilds interleave, whatever the restream engine.
+    /// wherever rebuilds interleave.
     #[test]
     fn every_mutation_sequence_matches_scratch(
         init in initial_points_strategy(50),
         ops in ops_strategy(5),
         min_pts in 1usize..8,
         mcs in 2usize..6,
-        cfg in config_strategy(),
     ) {
-        let last = run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::AsGenerated, true);
+        let last = run_sequence(&init, &ops, min_pts, mcs, Rebuilds::AsGenerated, true);
         // Belt and braces: the final state also matches the same sequence
         // with every core distance recomputed after every batch.
         let reference =
-            run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::EveryStep, false);
+            run_sequence(&init, &ops, min_pts, mcs, Rebuilds::EveryStep, false);
         prop_assert_eq!(last, reference);
     }
 
@@ -223,15 +214,14 @@ proptest! {
         raw_inserts in prop::collection::vec((0i32..24, 0i32..24, 0u8..4), 1..12),
         min_pts in 1usize..6,
         mcs in 2usize..5,
-        cfg in config_strategy(),
     ) {
         let inserts: Vec<Point<2>> =
             raw_inserts.iter().map(|&(x, y, j)| grid_point(x, y, j)).collect();
-        let mut coarse = DynamicModel::new(&init, min_pts, mcs, cfg);
+        let mut coarse = DynamicModel::new(&init, min_pts, mcs, DynConfig::default());
         coarse
             .apply(&MutationBatch { inserts: inserts.clone(), deletes: vec![] })
             .unwrap();
-        let mut fine = DynamicModel::new(&init, min_pts, mcs, cfg);
+        let mut fine = DynamicModel::new(&init, min_pts, mcs, DynConfig::default());
         for p in &inserts {
             fine.apply(&MutationBatch { inserts: vec![*p], deletes: vec![] })
                 .unwrap();
@@ -251,14 +241,13 @@ proptest! {
         ops in ops_strategy(4),
         min_pts in 1usize..6,
         mcs in 2usize..5,
-        cfg in config_strategy(),
     ) {
         let baseline = in_pool(1, || {
-            run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::AsGenerated, true)
+            run_sequence(&init, &ops, min_pts, mcs, Rebuilds::AsGenerated, true)
         });
         for threads in [2usize, 4, 8] {
             let run = in_pool(threads, || {
-                run_sequence(&init, &ops, min_pts, mcs, cfg, Rebuilds::AsGenerated, false)
+                run_sequence(&init, &ops, min_pts, mcs, Rebuilds::AsGenerated, false)
             });
             prop_assert_eq!(
                 baseline.clone(),

@@ -6,7 +6,7 @@
 
 use parclust::{
     emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive, emst_streaming,
-    hdbscan_gantao, hdbscan_memogfk, hdbscan_streaming, optics_approx, Point, Stats,
+    hdbscan_gantao, hdbscan_memogfk, optics_approx, Point, Stats,
 };
 use parclust_data::seed_spreader;
 use parclust_obs::export::drain;
@@ -180,17 +180,12 @@ fn hdbscan_memogfk_stats_are_its_spans() {
 #[test]
 fn every_other_driver_stats_are_its_spans() {
     let pts = points();
-    let runs: [(&str, fn(&[Point<2>]) -> Stats, usize); 7] = [
+    let runs: [(&str, fn(&[Point<2>]) -> Stats, usize); 6] = [
         ("emst_naive", |p| emst_naive(p).stats, 1),
         ("emst_gfk", |p| emst_gfk(p).stats, 1),
         ("emst_boruvka", |p| emst_boruvka(p).stats, 1),
         ("emst_delaunay", |p| emst_delaunay(p).stats, 0),
         ("hdbscan_gantao", |p| hdbscan_gantao(p, 10).stats, 1),
-        (
-            "hdbscan_streaming",
-            |p| hdbscan_streaming(p, 10, 256).stats,
-            1,
-        ),
         ("optics_approx", |p| optics_approx(p, 10, 0.5).stats, 1),
     ];
     for (what, run, trees) in runs {

@@ -1,19 +1,17 @@
 //! The streaming pipeline's exactness contract.
 //!
-//! The bounded-memory path (chunked ingestion via `PointSource`, batched
-//! WSPD production, streaming Kruskal merges) must be **bit-identical** to
-//! the in-memory path: same edges, same weights-by-bits, same core
-//! distances — for all three EMST methods, both HDBSCAN\* variants, every
-//! batch size, and every thread count. These tests pin that contract the
-//! same way `tests/parallel_semantics.rs` pins thread-count determinism.
+//! The bounded-memory path (batched WSPD production, streaming Kruskal
+//! merges) must be **bit-identical** to the in-memory path: same edges,
+//! same weights-by-bits — for all three EMST methods, every batch size,
+//! and every thread count — and chunked point files must read back
+//! bit-losslessly. These tests pin that contract the same way
+//! `tests/parallel_semantics.rs` pins thread-count determinism.
 
 use parclust::{
-    emst_gfk, emst_memogfk, emst_naive, emst_streaming, hdbscan_gantao, hdbscan_gantao_streaming,
-    hdbscan_memogfk, hdbscan_streaming, Edge, Point,
+    condense_tree, dendrogram_par, emst_gfk, emst_memogfk, emst_naive, emst_streaming,
+    hdbscan_memogfk, Edge, Point,
 };
-use parclust_data::{
-    collect_points, seed_spreader, uniform_fill, ChunkedReader, ChunkedWriter, SliceSource,
-};
+use parclust_data::{read_chunked, seed_spreader, uniform_fill, ChunkedWriter};
 use proptest::prelude::*;
 
 fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
@@ -68,30 +66,6 @@ fn streaming_emst_identical_to_all_in_memory_methods() {
 }
 
 #[test]
-fn streaming_hdbscan_identical_to_both_variants() {
-    let pts: Vec<Point<3>> = seed_spreader(2_000, 52);
-    let min_pts = 10;
-    let memo = hdbscan_memogfk(&pts, min_pts);
-    let gan = hdbscan_gantao(&pts, min_pts);
-    for cap in [128usize, 1 << 20] {
-        let s_comb = hdbscan_streaming(&pts, min_pts, cap);
-        let s_std = hdbscan_gantao_streaming(&pts, min_pts, cap);
-        assert_eq!(
-            edge_bits(&s_comb.edges),
-            edge_bits(&memo.edges),
-            "combined cap={cap}"
-        );
-        assert_eq!(
-            edge_bits(&s_std.edges),
-            edge_bits(&gan.edges),
-            "standard cap={cap}"
-        );
-        assert_eq!(s_comb.core_distances, memo.core_distances);
-        assert_eq!(s_comb.total_weight.to_bits(), memo.total_weight.to_bits());
-    }
-}
-
-#[test]
 fn streaming_emst_identical_across_thread_counts() {
     let pts: Vec<Point<2>> = uniform_fill(2_500, 53);
     let cap = 512;
@@ -109,26 +83,11 @@ fn streaming_emst_identical_across_thread_counts() {
 }
 
 #[test]
-fn streaming_hdbscan_identical_across_thread_counts() {
-    let pts: Vec<Point<2>> = seed_spreader(2_000, 54);
-    let cap = 256;
-    let baseline = in_pool(1, || hdbscan_streaming(&pts, 10, cap));
-    for threads in [2usize, 4, 8] {
-        let run = in_pool(threads, || hdbscan_streaming(&pts, 10, cap));
-        assert_eq!(
-            edge_bits(&baseline.edges),
-            edge_bits(&run.edges),
-            "streaming HDBSCAN differs at {threads} threads"
-        );
-        assert_eq!(baseline.core_distances, run.core_distances);
-    }
-}
-
-#[test]
 fn file_fed_pipeline_equals_generator_fed() {
-    // Generator → chunked file → streamed ingestion → clustering must
-    // equal running directly on the generator output: ingestion is
-    // lossless (f64 bits round-trip through the chunked codec).
+    // Generator → chunked file → `read_chunked` → the model build
+    // (HDBSCAN* MST → dendrogram → condensed tree) must equal running
+    // directly on the generator output: ingestion is lossless (f64 bits
+    // round-trip through the chunked codec).
     let pts: Vec<Point<3>> = seed_spreader(1_500, 55);
     let path = tmp("pipeline.pcls");
     {
@@ -136,14 +95,23 @@ fn file_fed_pipeline_equals_generator_fed() {
         w.push_all(&pts).unwrap();
         assert_eq!(w.finish().unwrap(), pts.len() as u64);
     }
-    let from_file = collect_points(&mut ChunkedReader::<3>::open(&path).unwrap()).unwrap();
+    let from_file = read_chunked::<3>(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(from_file, pts, "chunked ingestion must be bit-lossless");
 
-    let want = hdbscan_memogfk(&pts, 10);
-    let got = hdbscan_streaming(&from_file, 10, 1_000);
+    let build = |p: &[Point<3>]| {
+        let h = hdbscan_memogfk(p, 10);
+        let d = dendrogram_par(p.len(), &h.edges, 0);
+        let c = condense_tree(&d, 10);
+        (h, d, c)
+    };
+    let (want, want_d, want_c) = build(&pts);
+    let (got, got_d, got_c) = build(&from_file);
     assert_eq!(edge_bits(&got.edges), edge_bits(&want.edges));
     assert_eq!(got.core_distances, want.core_distances);
+    assert_eq!(got_d.height, want_d.height);
+    assert_eq!(got_d.parent, want_d.parent);
+    assert_eq!(got_c.point_cluster, want_c.point_cluster);
 }
 
 fn small_points_2d(max_n: usize) -> impl Strategy<Value = Vec<Point<2>>> {
@@ -174,27 +142,8 @@ proptest! {
         let mut w = ChunkedWriter::<2, _>::create(&path, chunk_len).unwrap();
         w.push_all(&pts).unwrap();
         prop_assert_eq!(w.finish().unwrap(), pts.len() as u64);
-        let back = collect_points(&mut ChunkedReader::<2>::open(&path).unwrap()).unwrap();
+        let back = read_chunked::<2>(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(back, pts);
-    }
-
-    /// `PointSource`-fed HDBSCAN* (slice-chunked ingestion + streaming
-    /// batches) equals the in-memory run, bit for bit.
-    #[test]
-    fn source_fed_hdbscan_equals_in_memory(
-        pts in small_points_2d(90),
-        chunk_len in 1usize..32,
-        min_pts in 1usize..8,
-        cap in 1usize..2_000,
-    ) {
-        let mut src = SliceSource::new(&pts, chunk_len);
-        let ingested = collect_points(&mut src).unwrap();
-        prop_assert_eq!(&ingested, &pts);
-        let want = hdbscan_memogfk(&pts, min_pts);
-        let got = hdbscan_streaming(&ingested, min_pts, cap);
-        prop_assert_eq!(edge_bits(&got.edges), edge_bits(&want.edges));
-        prop_assert_eq!(got.core_distances, want.core_distances);
-        prop_assert_eq!(got.total_weight.to_bits(), want.total_weight.to_bits());
     }
 }
