@@ -25,6 +25,9 @@ fn bench_kdtree(c: &mut Criterion) {
     let pts: Vec<Point<3>> = uniform_fill(50_000, 42);
     let tree = KdTree::build(&pts);
     g.bench_function("knn_all_k10_50k", |b| b.iter(|| tree.knn_all(10).k));
+    g.bench_function("kth_dist_sq_all_k10_50k", |b| {
+        b.iter(|| tree.kth_dist_sq_all(10).len())
+    });
     g.finish();
 }
 
@@ -37,8 +40,7 @@ fn bench_wspd(c: &mut Criterion) {
         b.iter(|| wspd_materialize(&tree, &GeometricSep::PAPER_DEFAULT).len())
     });
     // HDBSCAN separations: standard vs the paper's combined definition.
-    let knn = tree.knn_all(10);
-    let cd: Vec<f64> = (0..tree.len()).map(|i| knn.kth_dist(i)).collect();
+    let cd = parclust::core_distances_on_tree(&tree, 10);
     let cd_pos: Vec<f64> = tree.idx.iter().map(|&o| cd[o as usize]).collect();
     let (cd_min, cd_max) = core_distance_annotations(&tree, &cd_pos);
     g.bench_function("mutual_reach_standard_50k", |b| {

@@ -708,8 +708,7 @@ fn hdbscan_wspd_sizes<const D: usize>(
     use parclust_wspd::policy::core_distance_annotations;
     use parclust_wspd::{wspd_materialize, MutualReachSep, SepMode};
     let tree = KdTree::build(pts);
-    let knn = tree.knn_all(min_pts);
-    let cd: Vec<f64> = (0..tree.len()).map(|i| knn.kth_dist(i)).collect();
+    let cd = parclust::core_distances_on_tree(&tree, min_pts);
     let cd_pos: Vec<f64> = tree.idx.iter().map(|&o| cd[o as usize]).collect();
     let (cd_min, cd_max) = core_distance_annotations(&tree, &cd_pos);
     let std = wspd_materialize(

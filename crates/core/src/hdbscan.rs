@@ -58,10 +58,14 @@ pub fn core_distances<const D: usize>(points: &[Point<D>], min_pts: usize) -> Ve
 }
 
 /// [`core_distances`] over an already built kd-tree (original point
-/// order), for callers that keep the tree.
+/// order), for callers that keep the tree: one tree-order
+/// [`KdTree::kth_dist_sq_all`] pass, then a square root per point.
 pub fn core_distances_on_tree<const D: usize>(tree: &KdTree<D>, min_pts: usize) -> Vec<f64> {
-    let knn = tree.knn_all(min_pts);
-    (0..tree.len()).map(|i| knn.kth_dist(i)).collect()
+    let mut cd = tree.kth_dist_sq_all(min_pts);
+    for d in &mut cd {
+        *d = d.sqrt();
+    }
+    cd
 }
 
 /// The frame of the HDBSCAN\* drivers and [`crate::optics_approx`]: no

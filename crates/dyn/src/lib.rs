@@ -151,8 +151,7 @@ impl<const D: usize> DynamicModel<D> {
         assert!(min_pts >= 1, "minPts must be at least 1");
         let points = points.to_vec();
         let tree = KdTree::build(&points);
-        let all: Vec<usize> = (0..points.len()).collect();
-        let cd_sq = kth_dists_sq(&tree, &points, min_pts, &all);
+        let cd_sq = tree.kth_dist_sq_all(min_pts);
         let core_distances: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
         let (dendrogram, condensed) =
             build_hierarchy(&tree, min_pts, min_cluster_size, &core_distances);
@@ -207,8 +206,7 @@ impl<const D: usize> DynamicModel<D> {
         if version == 0 {
             return Err("model versions start at 1".into());
         }
-        let all: Vec<usize> = (0..n).collect();
-        let cd_sq = kth_dists_sq(&tree, &points, min_pts, &all);
+        let cd_sq = tree.kth_dist_sq_all(min_pts);
         let cd: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
         if cd != core_distances {
             return Err(
@@ -327,10 +325,12 @@ impl<const D: usize> DynamicModel<D> {
         let tree = KdTree::build(&points);
 
         // A changed effective k makes every carried value a different
-        // statistic; then nothing carries over.
+        // statistic; then nothing carries over and one tree-order pass
+        // recomputes them all.
         let k_unchanged = self.min_pts.min(n_old) == self.min_pts.min(n_new);
-        let stale: Vec<usize> = if recompute_all || !k_unchanged {
-            (0..n_new).collect()
+        let recomputed = if recompute_all || !k_unchanged {
+            cd_sq = tree.kth_dist_sq_all(self.min_pts);
+            n_new
         } else {
             let ann = tree.max_radius_sq_annotation(&cd_sq);
             let mut affected = vec![false; n_new];
@@ -349,12 +349,13 @@ impl<const D: usize> DynamicModel<D> {
             for &i in &hits {
                 affected[i as usize] = true;
             }
-            (0..n_new).filter(|&i| affected[i]).collect()
+            let stale: Vec<usize> = (0..n_new).filter(|&i| affected[i]).collect();
+            let fresh = kth_dists_sq(&tree, &points, self.min_pts, &stale);
+            for (&i, d_sq) in stale.iter().zip(fresh) {
+                cd_sq[i] = d_sq;
+            }
+            stale.len()
         };
-        let fresh = kth_dists_sq(&tree, &points, self.min_pts, &stale);
-        for (&i, d_sq) in stale.iter().zip(fresh) {
-            cd_sq[i] = d_sq;
-        }
         let core_distances: Vec<f64> = cd_sq.iter().map(|d| d.sqrt()).collect();
         let (dendrogram, condensed) =
             build_hierarchy(&tree, self.min_pts, self.min_cluster_size, &core_distances);
@@ -366,12 +367,12 @@ impl<const D: usize> DynamicModel<D> {
         self.tree = Some(tree);
         self.version += 1;
         Ok(ApplyReport {
-            path: if stale.len() == n_new {
+            path: if recomputed == n_new {
                 MutationPath::Rebuild
             } else {
                 MutationPath::Merge
             },
-            recomputed: stale.len(),
+            recomputed,
             inserted: batch.inserts.len(),
             deleted: deletes.len(),
             n: n_new,
@@ -380,10 +381,12 @@ impl<const D: usize> DynamicModel<D> {
     }
 }
 
-/// Raw squared `min_pts`-th-NN distance (self included, `k` clamped to
-/// `n`) of each point `points[i]`, `i` in `idx`, queried on `tree`, which
-/// indexes `points`. Bitwise what `KdTree::knn_all` and hence
-/// `parclust::core_distances` compute.
+/// The subset path: raw squared `min_pts`-th-NN distance (self included,
+/// `k` clamped to `n`) of each point `points[i]`, `i` in `idx`, queried one
+/// by one on `tree`, which indexes `points`. Bitwise what the full
+/// tree-order pass `KdTree::kth_dist_sq_all` (and hence
+/// `parclust::core_distances`) computes for those points; used for the
+/// affected points of a merge, every full recomputation takes that pass.
 fn kth_dists_sq<const D: usize>(
     tree: &KdTree<D>,
     points: &[Point<D>],

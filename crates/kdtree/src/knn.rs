@@ -6,6 +6,16 @@
 //! `O(k n log n)` expected work for bounded spread, `O(log n)` depth —
 //! matching the primitive attributed to Callahan and Kosaraju [13].
 //!
+//! The all-points pass runs its queries in *tree order*: position by
+//! position through the permuted point storage, in fixed-size parallel
+//! chunks that each reuse one heap. Consecutive queries are then spatial
+//! neighbours that descend the same subtrees, so node boxes and lanes are
+//! still in cache, and each query is read straight from the permuted SoA
+//! block, so no original-order copy of the points is ever built. Results
+//! are scattered (or, for [`KdTree::knn_all`], gathered) into original
+//! order once at the end. Every search is a deterministic function of the
+//! tree and its query point, so the order changes no single result.
+//!
 //! Once the descent reaches a subtree of at most [`KNN_BATCH`] points, the
 //! whole permuted range is scanned with the SoA lane kernel
 //! ([`parclust_data::PointBlock::dist_sq_into`]) instead of recursing leaf
@@ -23,6 +33,10 @@ use crate::{KdTree, NodeId};
 /// batch only *adds* candidates the descent might have pruned, which the
 /// k-smallest heap discards again.
 pub const KNN_BATCH: usize = 16;
+
+/// Positions per parallel task of the tree-order pass; each task reuses one
+/// heap for all of its queries.
+const PASS_CHUNK: usize = 256;
 
 /// A fixed-capacity max-heap of `(squared distance, point id)` pairs that
 /// keeps the `k` smallest distances seen.
@@ -55,6 +69,12 @@ impl KnnHeap {
     #[inline]
     pub fn len(&self) -> usize {
         self.items.len()
+    }
+
+    /// Empty the heap for the next query, keeping its capacity.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.items.clear();
     }
 
     #[inline]
@@ -107,10 +127,16 @@ impl KnnHeap {
 
     /// Drain into `(dist_sq, id)` pairs sorted by increasing distance.
     pub fn into_sorted(mut self) -> Vec<(f64, u32)> {
+        self.sort_items();
+        self.items
+    }
+
+    /// Sort the held pairs by increasing distance, in place. The heap order
+    /// is gone afterwards: only [`clear`](Self::clear) may follow.
+    fn sort_items(&mut self) {
         self.items
             // analyze:allow(hotpath-unwrap) — distances are squared norms of finite coords, never NaN
             .sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
-        self.items
     }
 
     /// The largest distance currently held (the k-th neighbor distance once
@@ -184,49 +210,80 @@ impl<const D: usize> KdTree<D> {
         }
     }
 
+    /// The tree-order pass: the kNN search (`k` clamped by the caller to
+    /// `1..=n`) of the point at every permuted position, in position order,
+    /// [`PASS_CHUNK`] positions per parallel task. `out` holds `width`
+    /// slots per position; `emit` turns each query's full heap into them.
+    fn knn_pass<T: Send>(
+        &self,
+        k: usize,
+        out: &mut [T],
+        width: usize,
+        emit: impl Fn(&mut KnnHeap, &mut [T]) + Sync,
+    ) {
+        let n = self.len();
+        assert!(k >= 1, "k-NN needs k of at least 1");
+        debug_assert_eq!(out.len(), n * width);
+        let _span = parclust_obs::span!("kdtree.knn_all", points = n);
+        out.par_chunks_mut(PASS_CHUNK * width)
+            .enumerate()
+            .for_each(|(c, chunk)| {
+                let mut heap = KnnHeap::new(k);
+                for (j, slots) in chunk.chunks_mut(width).enumerate() {
+                    heap.clear();
+                    let q = self.point(c * PASS_CHUNK + j);
+                    self.knn_recurse(self.root(), &q, &mut heap);
+                    emit(&mut heap, slots);
+                }
+            });
+    }
+
+    /// Squared distance from every point to its `k`-th nearest neighbor,
+    /// the point itself included and `k` clamped to `n`, in original point
+    /// order: bitwise the last column of [`knn_all`](Self::knn_all), without
+    /// sorting or storing the other `k - 1` neighbors.
+    pub fn kth_dist_sq_all(&self, k: usize) -> Vec<f64> {
+        let n = self.len();
+        let mut by_pos = vec![0f64; n];
+        // A full heap's bound is its k-th smallest distance.
+        self.knn_pass(k.min(n), &mut by_pos, 1, |heap, slot| {
+            slot[0] = heap.bound()
+        });
+        let mut out = vec![0f64; n];
+        for (&d_sq, &orig) in by_pos.iter().zip(&self.idx) {
+            out[orig as usize] = d_sq;
+        }
+        out
+    }
+
     /// All-points kNN, in parallel. Each point's neighbor list includes the
-    /// point itself (distance 0), matching the paper's definition.
+    /// point itself (distance 0), matching the paper's definition. Rows are
+    /// computed in tree order, then gathered into original order.
     pub fn knn_all(&self, k: usize) -> AllKnn {
         let n = self.len();
         let k = k.min(n);
+        let mut rows = vec![(0f64, 0u32); n * k];
+        self.knn_pass(k, &mut rows, k, |heap, row| {
+            heap.sort_items();
+            row.copy_from_slice(&heap.items);
+        });
+        let mut pos_of = vec![0u32; n];
+        for (pos, &orig) in self.idx.iter().enumerate() {
+            pos_of[orig as usize] = pos as u32;
+        }
         let mut ids = vec![0u32; n * k];
-        let mut dist_sq_out = vec![0f64; n * k];
+        let mut dist_sq = vec![0f64; n * k];
         ids.par_chunks_mut(k)
-            .zip(dist_sq_out.par_chunks_mut(k))
-            .enumerate()
-            .for_each(|(orig, (id_row, d_row))| {
-                // Rows are indexed by original id: find the query point by
-                // original index via the inverse permutation lazily.
-                let q = &self.points_by_original()[orig];
-                let mut heap = KnnHeap::new(k);
-                self.knn_recurse(self.root(), q, &mut heap);
-                let sorted = heap.into_sorted();
-                debug_assert_eq!(sorted.len(), k);
-                for (j, (d, pid)) in sorted.into_iter().enumerate() {
-                    id_row[j] = pid;
+            .zip(dist_sq.par_chunks_mut(k))
+            .zip(pos_of.par_iter())
+            .for_each(|((id_row, d_row), &pos)| {
+                let row = &rows[pos as usize * k..][..k];
+                for (j, &(d, id)) in row.iter().enumerate() {
+                    id_row[j] = id;
                     d_row[j] = d;
                 }
             });
-        AllKnn {
-            k,
-            ids,
-            dist_sq: dist_sq_out,
-        }
-    }
-
-    /// Lazily-built view of the points in original order (the tree stores
-    /// them permuted, in SoA blocks).
-    pub fn points_by_original(&self) -> &[Point<D>] {
-        self.original_points
-            .get_or_init(|| {
-                let n = self.len();
-                let mut out = vec![Point::default(); n];
-                for (pos, &orig) in self.idx.iter().enumerate() {
-                    out[orig as usize] = self.point(pos);
-                }
-                out
-            })
-            .as_slice()
+        AllKnn { k, ids, dist_sq }
     }
 }
 
@@ -351,6 +408,77 @@ mod tests {
         assert_eq!(got.len(), 5);
         let all = tree.knn_all(10);
         assert_eq!(all.k, 5);
+    }
+
+    /// Inputs for the tree-order pass: a shuffled random set, a tie-heavy
+    /// integer grid, exact duplicates, `k > n` and a single point.
+    fn pass_cases() -> Vec<(&'static str, Vec<Point<3>>, usize)> {
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut shuffled = random_points::<3>(2_000, 30);
+        shuffled.shuffle(&mut rng);
+        let mut grid = Vec::new();
+        for x in 0..7 {
+            for y in 0..7 {
+                for z in 0..7 {
+                    grid.push(Point([x as f64, y as f64, z as f64]));
+                }
+            }
+        }
+        grid.shuffle(&mut rng);
+        let mut dups: Vec<Point<3>> = (0..300)
+            .map(|i| Point([(i % 4) as f64, 0.5 * (i % 3) as f64, 1.0]))
+            .collect();
+        dups.shuffle(&mut rng);
+        vec![
+            ("shuffled", shuffled, 10),
+            ("grid", grid, 7),
+            ("duplicates", dups, 40),
+            ("k > n", random_points::<3>(9, 32), 20),
+            ("n = 1", vec![Point([1.5, -2.0, 0.25])], 5),
+        ]
+    }
+
+    #[test]
+    fn kth_dist_sq_all_is_knn_all_last_column_bit_for_bit() {
+        for (what, pts, k) in pass_cases() {
+            let tree = KdTree::build(&pts);
+            let kth = tree.kth_dist_sq_all(k);
+            let all = tree.knn_all(k);
+            let k = k.min(pts.len());
+            assert_eq!(kth.len(), pts.len(), "{what}");
+            for (i, p) in pts.iter().enumerate() {
+                let want = kth[i].to_bits();
+                let (_, ds) = all.neighbors(i);
+                assert_eq!(ds[k - 1].to_bits(), want, "{what}: knn_all, point {i}");
+                let single = tree.knn(p, k);
+                assert_eq!(single[k - 1].0.to_bits(), want, "{what}: knn, point {i}");
+                let oracle = brute_knn(&pts, p, k);
+                assert_eq!(oracle[k - 1].0.to_bits(), want, "{what}: oracle, point {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn knn_all_rows_equal_per_point_knn() {
+        for (what, pts, k) in pass_cases() {
+            let tree = KdTree::build(&pts);
+            let all = tree.knn_all(k);
+            assert_eq!(all.k, k.min(pts.len()), "{what}");
+            for (i, p) in pts.iter().enumerate() {
+                let (ids, ds) = all.neighbors(i);
+                let row: Vec<(u64, u32)> = ds
+                    .iter()
+                    .map(|d| d.to_bits())
+                    .zip(ids.iter().copied())
+                    .collect();
+                let want: Vec<(u64, u32)> = tree
+                    .knn(p, k)
+                    .iter()
+                    .map(|&(d, id)| (d.to_bits(), id))
+                    .collect();
+                assert_eq!(row, want, "{what}: point {i}");
+            }
+        }
     }
 
     #[test]

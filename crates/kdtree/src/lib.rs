@@ -131,8 +131,6 @@ pub struct KdTree<const D: usize> {
     /// BFS level boundaries: level `l` is the id range
     /// `level_off[l]..level_off[l + 1]`; the last entry is the node count.
     level_off: Vec<u32>,
-    /// Lazily materialized copy of the points in original order.
-    pub(crate) original_points: std::sync::OnceLock<Vec<Point<D>>>,
 }
 
 impl<const D: usize> KdTree<D> {
@@ -352,7 +350,6 @@ fn relayout<const D: usize>(
         nodes,
         leaf_rank,
         level_off,
-        original_points: std::sync::OnceLock::new(),
     }
 }
 

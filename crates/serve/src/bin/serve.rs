@@ -56,6 +56,16 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: &str) 
         .unwrap_or_else(|_| bad_arg(format_args!("invalid value {raw:?} for {name}")))
 }
 
+/// [`parse_flag`] for a count the library requires to be at least `min`,
+/// checked here so a bad value exits 2 instead of panicking mid-build.
+fn parse_at_least(args: &[String], name: &str, default: &str, min: usize) -> usize {
+    let v: usize = parse_flag(args, name, default);
+    if v < min {
+        bad_arg(format_args!("{name} must be at least {min} (got {v})"));
+    }
+    v
+}
+
 /// Reject any argument of subcommand `cmd` that is not one of its `valued`
 /// flags (each followed by a value) or `switches` (boolean flags), so a
 /// typo never silently falls back to a default.
@@ -194,8 +204,8 @@ fn build(args: &[String]) {
         &[],
     );
     let out = flag(args, "--out").unwrap_or_else(|| usage());
-    let min_pts: usize = parse_flag(args, "--minpts", "10");
-    let min_cluster_size: usize = parse_flag(args, "--min-cluster-size", "10");
+    let min_pts = parse_at_least(args, "--minpts", "10", 1);
+    let min_cluster_size = parse_at_least(args, "--min-cluster-size", "10", 2);
     let n: usize = parse_flag(args, "--n", "10000");
     let seed: u64 = parse_flag(args, "--seed", "42");
     let csv = flag(args, "--csv");

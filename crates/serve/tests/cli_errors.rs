@@ -197,6 +197,43 @@ fn serve_removed_max_live_pairs_flag_is_a_usage_error() {
 }
 
 #[test]
+fn serve_build_rejects_too_small_minpts_and_cluster_size() {
+    // Both would otherwise reach a library assertion mid-build.
+    for (flag, value, needle) in [
+        ("--minpts", "0", "--minpts must be at least 1 (got 0)"),
+        (
+            "--min-cluster-size",
+            "0",
+            "--min-cluster-size must be at least 2 (got 0)",
+        ),
+        (
+            "--min-cluster-size",
+            "1",
+            "--min-cluster-size must be at least 2 (got 1)",
+        ),
+    ] {
+        let out = run(
+            SERVE,
+            &[
+                "build",
+                "--gen",
+                "uniform",
+                "--dims",
+                "2",
+                "--n",
+                "500",
+                flag,
+                value,
+                "--out",
+                "/dev/null",
+            ],
+        );
+        assert_clean_failure(&out, 2, &format!("serve: error: {needle}"));
+        assert_one_line(&out);
+    }
+}
+
+#[test]
 fn serve_build_empty_points_file_is_a_runtime_error() {
     let path = std::env::temp_dir().join(format!("parclust-cli-empty-{}.pcls", std::process::id()));
     parclust_data::write_chunked::<2>(&path, &[], 8).unwrap();

@@ -8,13 +8,15 @@
 //! same input inside 1-, 2-, 4-, and 8-thread pools must produce
 //! **bit-identical** MST weights, edge sets, core distances, and
 //! dendrograms. These tests pin that contract for all three EMST methods
-//! and both HDBSCAN\* variants, plus the parallel dendrogram built on top.
+//! and both HDBSCAN\* variants, plus the parallel dendrogram built on top
+//! and the tree-order all-points k-NN pass beneath the core distances.
 
 use parclust::{
     dendrogram_par, emst_gfk, emst_memogfk, emst_naive, hdbscan_gantao, hdbscan_memogfk,
     Dendrogram, Edge, Point,
 };
 use parclust_data::{seed_spreader, uniform_fill};
+use parclust_kdtree::KdTree;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
@@ -116,6 +118,25 @@ fn hdbscan_memogfk_identical_across_thread_counts() {
             "HDBSCAN-MemoGFK: core distances differ at {threads} threads"
         );
         assert_eq!(baseline.total_weight.to_bits(), run.total_weight.to_bits());
+    }
+}
+
+#[test]
+fn tree_order_knn_pass_identical_across_thread_counts() {
+    // Both entry points of the tree-order all-points k-NN pass, over a
+    // skewed set spanning many parallel chunks.
+    let pts: Vec<Point<3>> = seed_spreader(5_000, 19);
+    let tree = KdTree::build(&pts);
+    let run = || {
+        let all = tree.knn_all(10);
+        (bits(&tree.kth_dist_sq_all(10)), all.ids, bits(&all.dist_sq))
+    };
+    let baseline = in_pool(1, run);
+    for threads in &THREADS[1..] {
+        assert!(
+            in_pool(*threads, run) == baseline,
+            "tree-order k-NN pass differs at {threads} threads"
+        );
     }
 }
 
