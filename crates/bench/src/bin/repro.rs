@@ -724,15 +724,17 @@ fn hdbscan_wspd_sizes<const D: usize>(
     (std, comb)
 }
 
-/// §5 memory study: peak materialized pairs/bytes per method, and the WSPD
-/// pair-count ratio of the two HDBSCAN* separation definitions.
+/// §5 memory study: peak materialized pairs/bytes per method, MemoGFK's
+/// peak frontier, and the WSPD pair-count ratio of the two HDBSCAN*
+/// separation definitions.
 fn memory(opts: &Opts, report: &mut Report) {
     say!("\n=== Memory study (§5 'MemoGFK Memory Usage') ===");
     say!(
-        "{:<20} {:>13} {:>13} {:>9} {:>13} {:>13} {:>9}",
+        "{:<20} {:>13} {:>13} {:>16} {:>9} {:>13} {:>13} {:>9}",
         "dataset",
         "full WSPD",
         "MemoGFK peak",
+        "MemoGFK frontier",
         "ratio",
         "WSPD std",
         "WSPD new",
@@ -753,10 +755,11 @@ fn memory(opts: &Opts, report: &mut Report) {
         let ratio = naive.peak_live_pairs as f64 / memo.peak_live_pairs.max(1) as f64;
         let sep_ratio = wspd_std as f64 / wspd_new.max(1) as f64;
         say!(
-            "{:<20} {:>13} {:>13} {:>8.2}x {:>13} {:>13} {:>8.2}x",
+            "{:<20} {:>13} {:>13} {:>16} {:>8.2}x {:>13} {:>13} {:>8.2}x",
             spec.name,
             naive.peak_live_pairs,
             memo.peak_live_pairs,
+            memo.peak_frontier,
             ratio,
             wspd_std,
             wspd_new,
@@ -773,6 +776,7 @@ fn memory(opts: &Opts, report: &mut Report) {
                 "full_wspd_pairs": naive.peak_live_pairs,
                 "gfk_peak_pairs": gfk.peak_live_pairs,
                 "memogfk_peak_pairs": memo.peak_live_pairs,
+                "memogfk_peak_frontier": memo.peak_frontier,
                 "naive_peak_bytes": naive.peak_pair_bytes,
                 "memogfk_peak_bytes": memo.peak_pair_bytes,
                 "pair_reduction": ratio,

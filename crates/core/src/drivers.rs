@@ -8,8 +8,11 @@
 //!   with a shared union-find, and component filtering.
 //! * [`wspd_mst_memogfk`] — Algorithm 3, the memory-optimized GFK: nothing
 //!   is materialized up front; each round runs the pruned `GetRho` and
-//!   `GetPairs` kd-tree traversals and only materializes pairs whose BCCP
-//!   falls in `[ρ_lo, ρ_hi)`.
+//!   `GetPairs` traversals and only materializes pairs whose BCCP falls in
+//!   `[ρ_lo, ρ_hi)`. Each round after the first resumes from the frontier
+//!   of open states the previous round's `GetPairs` kept, not from the
+//!   kd-tree root, and a pair whose BCCP is known carries its endpoints in
+//!   that frontier (the paper's cached BCCP results, §3.1.2).
 //!
 //! Instantiated with [`parclust_wspd::GeometricSep`] these compute the EMST;
 //! with [`parclust_wspd::MutualReachSep`] they compute the HDBSCAN\* MST
@@ -25,11 +28,11 @@ use parclust_mst::{kruskal_batch, Edge, StreamingForest};
 use parclust_obs::phase;
 use parclust_primitives::atomic::AtomicF64Min;
 use parclust_primitives::collector::Collector;
-use parclust_primitives::conmap::ShardedMap;
 use parclust_primitives::pack::{pack, split};
 use parclust_primitives::unionfind::UnionFind;
 use parclust_wspd::{
-    bccp, wspd_materialize, wspd_stream_batches, wspd_traverse, Bccp, NodePair, SeparationPolicy,
+    bccp, wspd_materialize, wspd_resume, wspd_stream_batches, Bccp, NodePair, OpenState,
+    SeparationPolicy, Step,
 };
 use rayon::prelude::*;
 use std::mem::size_of;
@@ -115,12 +118,6 @@ pub(crate) fn component_annotation<const D: usize>(
 fn same_component(comp: &[u32], a: NodeId, b: NodeId) -> bool {
     let ca = comp[a as usize];
     ca != MIXED && ca == comp[b as usize]
-}
-
-#[inline]
-fn pack_pair(a: NodeId, b: NodeId) -> u64 {
-    let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    ((lo as u64) << 32) | hi as u64
 }
 
 /// EMST-Naive (§5): materialize all pairs, BCCP each, one Kruskal.
@@ -280,6 +277,18 @@ pub(crate) fn wspd_mst_memogfk<const D: usize, P: SeparationPolicy<D>>(
 }
 
 /// Parallel MemoGFK with an explicit [`BetaSchedule`] (ablation hook).
+///
+/// Round 0 walks from the root's self-recursion; every later round resumes
+/// from the frontier the previous `GetPairs` kept ([`wspd_resume`]). A kept
+/// state is a pair pruned only by `lower_bound ≥ ρ_hi`, or a well-separated
+/// pair whose BCCP came out at or above `ρ_hi`, carried with its endpoints
+/// so its BCCP runs once. Dropped states never come back: components only
+/// merge, `ρ_lo`/`ρ_hi` and `β` never decrease, `lower_bound` rises and
+/// `upper_bound` falls down the tree. So every pair a root walk would
+/// reach in a later round lies at or below a kept state, and every pair
+/// `GetRho` must see (cardinality > β, lower bound ≥ the last `ρ_hi`) was
+/// kept. The rounds' `ρ_hi` and edge batches, and so the MST bits and the
+/// work counters, are those of re-walking the tree from the root.
 pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
@@ -290,82 +299,95 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     if n <= 1 {
         return Vec::new();
     }
-    // Cross-round BCCP memoization (§3.1.2: "we cache the BCCP results of
-    // pairs to avoid repeated computations"). Keys pack the node pair;
-    // values pack the BCCP endpoints — the weight is recomputed from the
-    // points, which is cheaper than a second table. Growable: the WSPD
-    // pair count is O(n) but with a dimension-dependent constant that can
-    // exceed 100, and dropping cache entries makes clustered
-    // high-dimensional inputs recompute expensive BCCPs every round.
-    let cache = ShardedMap::new();
-
     let mut uf = UnionFind::new(n);
     let mut out: Vec<Edge> = Vec::with_capacity(n - 1);
     let mut beta: usize = 2;
     let mut rho_lo: f64 = 0.0;
+    let mut frontier = vec![OpenState::node(tree.root())];
 
     while out.len() + 1 < n {
         rec.round();
         let comp = component_annotation(tree, &uf, rec);
+        let one_component = |a: NodeId| comp[a as usize] != MIXED;
 
         // GetRho (Algorithm 3, line 4): lower-bound the lightest edge any
         // still-relevant pair of cardinality > β can produce.
         let rho = AtomicF64Min::default();
         {
             let _phase = phase!(&rec.wspd, "wspd.get_rho", beta = beta);
-            wspd_traverse(
+            wspd_resume(
                 tree,
                 policy,
+                &frontier,
+                &|a| one_component(a) || tree.node_size(a) <= beta,
                 &|a, b| {
-                    same_component(&comp, a, b)
+                    if same_component(&comp, a, b)
                         || tree.node_size(a) + tree.node_size(b) <= beta
                         || policy.lower_bound(tree, a, b) >= rho.load()
+                    {
+                        Step::Drop
+                    } else {
+                        Step::Expand
+                    }
                 },
-                &|a, b| {
+                &|s| {
+                    let (a, b) = s.nodes();
                     rho.write_min(policy.lower_bound(tree, a, b));
+                    None
                 },
             );
         }
         let rho_hi = rho.load();
 
-        // GetPairs (line 5): retrieve pairs whose BCCP lies in [ρ_lo, ρ_hi).
+        // GetPairs (line 5): retrieve pairs whose BCCP lies in [ρ_lo, ρ_hi)
+        // and keep what a later round may still need.
         let edges_c: Collector<Edge> = Collector::new();
-        {
-            let _phase = phase!(&rec.wspd, "wspd.get_pairs", beta = beta);
-            wspd_traverse(
+        frontier = {
+            let _phase = phase!(&rec.wspd, "wspd.get_pairs", frontier = frontier.len());
+            wspd_resume(
                 tree,
                 policy,
+                &frontier,
+                &one_component,
                 &|a, b| {
-                    same_component(&comp, a, b)
-                        || policy.upper_bound(tree, a, b) < rho_lo
-                        || policy.lower_bound(tree, a, b) >= rho_hi
-                },
-                &|a, b| {
-                    let key = pack_pair(a, b);
-                    let r = match cache.get(key) {
-                        Some(packed) => {
-                            let (u, v) = ((packed >> 32) as u32, packed as u32);
-                            let d = tree.dist_between(u, v);
-                            Bccp {
-                                u,
-                                v,
-                                w: policy.point_weight(u, v, d),
-                            }
-                        }
-                        None => {
-                            rec.bccp();
-                            let r = bccp(tree, policy, a, b);
-                            cache.insert(key, ((r.u as u64) << 32) | r.v as u64);
-                            r
-                        }
-                    };
-                    if r.w >= rho_lo && r.w < rho_hi {
-                        edges_c.push(Edge::new(r.u, r.v, r.w));
+                    if same_component(&comp, a, b) || policy.upper_bound(tree, a, b) < rho_lo {
+                        Step::Drop
+                    } else if policy.lower_bound(tree, a, b) >= rho_hi {
+                        Step::Keep
+                    } else {
+                        Step::Expand
                     }
                 },
-            );
-        }
+                &|s| {
+                    let (a, b) = s.nodes();
+                    let r = match s.endpoints() {
+                        // The weight is recomputed, never stored, so the
+                        // edge carries exactly `point_weight`'s bits.
+                        Some((u, v)) => Bccp {
+                            u,
+                            v,
+                            w: policy.point_weight(u, v, tree.dist_between(u, v)),
+                        },
+                        None => {
+                            rec.bccp();
+                            bccp(tree, policy, a, b)
+                        }
+                    };
+                    if r.w < rho_lo {
+                        None
+                    } else if r.w < rho_hi {
+                        edges_c.push(Edge::new(r.u, r.v, r.w));
+                        None
+                    } else {
+                        Some(OpenState::separated(a, b, r.u, r.v))
+                    }
+                },
+            )
+        };
+        frontier.shrink_to_fit();
+        rec.frontier(frontier.len());
         let mut batch = edges_c.into_vec();
+        batch.shrink_to_fit();
         rec.pairs(batch.len());
         rec.live(batch.len(), size_of::<Edge>());
 

@@ -29,7 +29,8 @@ pub struct Stats {
 
     /// Number of GFK/MemoGFK rounds executed.
     pub rounds: u64,
-    /// Exact BCCP computations performed (cache misses for MemoGFK).
+    /// Exact BCCP computations performed. MemoGFK computes each pair's
+    /// once and carries the endpoints in its frontier.
     pub bccp_calls: u64,
     /// Total well-separated pairs materialized across the run. For the
     /// fully-materializing algorithms this is |WSPD|; for MemoGFK it is the
@@ -40,6 +41,9 @@ pub struct Stats {
     pub peak_live_pairs: u64,
     /// Approximate peak bytes attributable to materialized pairs.
     pub peak_pair_bytes: u64,
+    /// Largest MemoGFK frontier: the open traversal states one round
+    /// hands to the next (16 bytes each). Zero for the other drivers.
+    pub peak_frontier: u64,
 }
 
 /// One run's phase slots (nanoseconds) and work counters, shared by
@@ -56,6 +60,7 @@ pub(crate) struct Recorder {
     pairs_materialized: AtomicU64,
     peak_live_pairs: AtomicU64,
     peak_pair_bytes: AtomicU64,
+    peak_frontier: AtomicU64,
 }
 
 impl Recorder {
@@ -92,6 +97,11 @@ impl Recorder {
             .fetch_max((live * bytes_each) as u64, Ordering::Relaxed);
     }
 
+    /// A MemoGFK round left a frontier of `len` open states.
+    pub fn frontier(&self, len: usize) {
+        self.peak_frontier.fetch_max(len as u64, Ordering::Relaxed);
+    }
+
     fn into_stats(self) -> Stats {
         let secs = |slot: AtomicU64| Duration::from_nanos(slot.into_inner()).as_secs_f64();
         Stats {
@@ -107,6 +117,7 @@ impl Recorder {
             pairs_materialized: self.pairs_materialized.into_inner(),
             peak_live_pairs: self.peak_live_pairs.into_inner(),
             peak_pair_bytes: self.peak_pair_bytes.into_inner(),
+            peak_frontier: self.peak_frontier.into_inner(),
         }
     }
 }
@@ -124,11 +135,14 @@ mod tests {
             rec.pairs(5);
             rec.live(7, 16);
             rec.live(3, 16);
+            rec.frontier(9);
+            rec.frontier(4);
             let _phase = parclust_obs::phase!(&rec.wspd, "test.stats.wspd");
             std::thread::sleep(std::time::Duration::from_millis(2));
         });
         assert_eq!((s.rounds, s.bccp_calls, s.pairs_materialized), (1, 2, 5));
         assert_eq!((s.peak_live_pairs, s.peak_pair_bytes), (7, 7 * 16));
+        assert_eq!(s.peak_frontier, 9);
         assert!(s.wspd >= 0.002, "wspd {}", s.wspd);
         assert!(s.total >= s.wspd);
         assert_eq!(s.build_tree + s.core_dist + s.kruskal + s.dendrogram, 0.0);

@@ -58,15 +58,15 @@ impl<T> Collector<T> {
     }
 
     /// Concatenate all buffers (must be called after producers finish).
+    /// The largest buffer becomes the output, so only the others are
+    /// copied.
     pub fn into_vec(self) -> Vec<T> {
-        let mut total = 0;
-        let mut bufs: Vec<Vec<T>> = Vec::with_capacity(self.shards.len());
-        for shard in self.shards {
-            let buf = shard.into_inner();
-            total += buf.len();
-            bufs.push(buf);
-        }
-        let mut out = Vec::with_capacity(total);
+        let mut bufs: Vec<Vec<T>> = self.shards.into_iter().map(Mutex::into_inner).collect();
+        let largest = (0..bufs.len())
+            .max_by_key(|&i| bufs[i].len())
+            .expect("a collector has at least one shard");
+        let mut out = bufs.swap_remove(largest);
+        out.reserve_exact(bufs.iter().map(Vec::len).sum());
         for buf in bufs {
             out.extend(buf);
         }

@@ -1,10 +1,10 @@
 //! A fast non-cryptographic hasher for hot integer keys.
 //!
-//! The standard library's SipHash is a poor fit for the per-subproblem
-//! vertex maps and BCCP caches on the hot path (see the performance notes in
-//! the Rust Performance Book on alternative hashers). This is the classic
-//! Fx multiply-rotate hash, implemented locally to avoid an external
-//! dependency.
+//! The standard library's SipHash is a poor fit for the integer-keyed maps
+//! of the dendrogram, flat-extraction and DBSCAN\* passes (see the
+//! performance notes in the Rust Performance Book on alternative
+//! hashers). This is the classic Fx multiply-rotate hash, implemented
+//! locally to avoid an external dependency.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -3,7 +3,7 @@
 //! This crate provides the building blocks assumed by the paper's algorithms
 //! (Section 2.2, "Parallel Primitives"): prefix sum, filter/pack, split,
 //! parallel selection, list ranking, Euler tours, the `WRITE_MIN` priority
-//! concurrent write, union-find, and a phase-concurrent hash table.
+//! concurrent write, and union-find.
 //!
 //! All primitives are implemented on top of [`rayon`]'s work-stealing
 //! fork-join runtime, the Rust analogue of the Cilk runtime used by the
@@ -12,7 +12,6 @@
 
 pub mod atomic;
 pub mod collector;
-pub mod conmap;
 pub mod euler;
 pub mod hash;
 pub mod listrank;

@@ -42,6 +42,18 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// Print a line to stdout. A reader that hung up (`serve query | head`)
+/// ends the run quietly with exit 0; any other write error exits 1.
+fn say(text: impl std::fmt::Display) {
+    use std::io::Write;
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{text}") {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        fail(format_args!("stdout: {e}"));
+    }
+}
+
 /// Command-line value we could not make sense of: diagnostic, exit 2.
 fn bad_arg(msg: impl std::fmt::Display) -> ! {
     eprintln!("serve: error: {msg}");
@@ -160,11 +172,11 @@ fn gen_points(args: &[String]) {
         parclust_data::write_chunked(std::path::Path::new(&out), &points, chunk_len)
             .unwrap_or_else(|e| fail(format_args!("write {out}: {e}")));
         let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-        println!(
+        say(format_args!(
             "wrote {out} ({} points, {}D, {bytes} bytes)",
             points.len(),
             D
-        );
+        ));
     });
 }
 
@@ -252,10 +264,10 @@ fn build(args: &[String]) {
             .save(std::path::Path::new(&out))
             .unwrap_or_else(|e| fail(format_args!("save {out}: {e}")));
         let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
-        println!(
+        say(format_args!(
             "wrote {out} ({bytes} bytes, {} condensed clusters)",
             model.condensed.num_clusters()
-        );
+        ));
     });
 }
 
@@ -385,22 +397,19 @@ fn query(args: &[String]) {
             .unwrap_or_else(|e| fail(format_args!("load {model_path}: {e}")));
         let engine = QueryEngine::new(Arc::new(model));
         let labeling = engine.labeling(spec);
-        println!(
-            "{}",
-            serde_json::json!({
-                "spec": format!("{spec:?}"),
-                "num_clusters": labeling.num_clusters as u64,
-                "noise": labeling.num_noise as u64,
-            })
-            .to_json_string_pretty()
-        );
+        say(serde_json::json!({
+            "spec": format!("{spec:?}"),
+            "num_clusters": labeling.num_clusters as u64,
+            "noise": labeling.num_noise as u64,
+        })
+        .to_json_string_pretty());
         if has_flag(args, "--labels") {
             let signed: Vec<i64> = labeling
                 .labels
                 .iter()
                 .map(|&l| if l == parclust::NOISE { -1 } else { l as i64 })
                 .collect();
-            println!("{}", serde_json::to_string(&signed).unwrap());
+            say(serde_json::to_string(&signed).unwrap());
         }
     });
 }

@@ -5,7 +5,7 @@
 //! scripts and CI distinguish the two. (`loadgen`, the load generator,
 //! lives with the bench binaries and is pinned in their suite.)
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin)
@@ -245,4 +245,31 @@ fn serve_build_empty_points_file_is_a_runtime_error() {
     std::fs::remove_file(&path).ok();
     assert_clean_failure(&out, 1, "holds no points");
     assert_one_line(&out);
+}
+
+/// `serve query ... | head -1`: the reader hangs up after the first line,
+/// so a later print hits EPIPE. That is a quiet exit 0, not a panic.
+#[test]
+fn serve_query_exits_quietly_on_closed_stdout() {
+    let path = std::env::temp_dir().join(format!("parclust-cli-query-{}.pcsm", std::process::id()));
+    let path_str = path.to_str().unwrap().to_string();
+    let built = run(
+        SERVE,
+        &[
+            "build", "--gen", "uniform", "--dims", "2", "--n", "20000", "--out", &path_str,
+        ],
+    );
+    assert!(built.status.success(), "build failed:\n{}", stderr(&built));
+    let mut child = Command::new(SERVE)
+        .args(["query", "--model", &path_str, "--k", "5", "--labels"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn serve query");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for serve query");
+    std::fs::remove_file(&path).ok();
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{err}");
+    assert!(!err.contains("panicked"), "stderr:\n{err}");
 }

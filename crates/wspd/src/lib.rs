@@ -16,21 +16,22 @@
 //! * **approximate OPTICS** — geometric separation with
 //!   `s = sqrt(8/ρ)` (Appendix C).
 //!
-//! [`traverse::wspd_traverse`] additionally exposes the pruning hook that
-//! MemoGFK's `GetRho`/`GetPairs` passes (Algorithm 3) are built on,
+//! [`traverse::wspd_resume`] runs the traversal from a frontier of open
+//! states and returns the states its hooks keep, so each of MemoGFK's
+//! `GetRho`/`GetPairs` rounds (Algorithm 3) resumes where the last round
+//! stopped instead of re-walking the tree. [`traverse::wspd_traverse`] is
+//! the one-shot walk from the root with a pruning hook.
 //! [`stream::wspd_stream_batches`] produces the same decomposition in
 //! bounded batches for the out-of-core pipeline, and [`bccp`] provides the
 //! exact BCCP/BCCP\* branch-and-bound used to turn well-separated pairs
 //! into candidate MST edges.
 
-pub mod ann;
 pub mod bccp;
 pub mod policy;
 pub mod stream;
 pub mod traverse;
 
-pub use ann::{all_nearest_neighbors, all_nearest_neighbors_by_original};
 pub use bccp::{bccp, Bccp};
 pub use policy::{GeometricSep, MutualReachSep, SepMode, SeparationPolicy};
 pub use stream::wspd_stream_batches;
-pub use traverse::{wspd_materialize, wspd_traverse, NodePair};
+pub use traverse::{wspd_materialize, wspd_resume, wspd_traverse, NodePair, OpenState, Step};

@@ -1,15 +1,25 @@
-//! The parallel WSPD traversal (Algorithm 1) with pruning hooks.
+//! The parallel WSPD traversal (Algorithm 1), resumable from a frontier.
 //!
 //! `WSPD(A)` recurses into both children in parallel and then runs
 //! `FindPair(A_left, A_right)`; `FindPair(P, P')` either records a
 //! well-separated pair or splits the node with the larger bounding sphere
-//! and recurses on both halves in parallel. The `prune` hook is evaluated on
-//! every `FindPair` entry — returning `true` abandons the pair *and all of
-//! its descendant pairs* — which is exactly the capability MemoGFK's
-//! `GetRho`/`GetPairs` passes need (Section 3.1.3).
+//! and recurses on both halves in parallel.
+//!
+//! [`wspd_resume`] runs that recursion from a *frontier*: a list of open
+//! states ([`OpenState`]) instead of the root alone. Three hooks steer it.
+//! A node hook can skip a whole self-recursion. A `step` hook, evaluated on
+//! every `FindPair` entry, drops the pair *and all of its descendant
+//! pairs*, keeps it unexpanded for the next frontier, or expands it. The
+//! visit hook sees each well-separated pair reached and may keep it too,
+//! carrying its BCCP endpoints. Kept states come back as the next frontier.
+//! MemoGFK (Section 3.1.3) is built on it: each round's `GetRho` and
+//! `GetPairs` walk only the frontier the previous `GetPairs` left, never
+//! the whole tree again. [`wspd_traverse`] is the one-shot walk from the
+//! root.
 
 use parclust_kdtree::{KdTree, NodeId};
 use parclust_primitives::collector::Collector;
+use rayon::prelude::*;
 
 use crate::policy::SeparationPolicy;
 
@@ -18,6 +28,73 @@ pub type NodePair = (NodeId, NodeId);
 
 /// Below this combined size, `FindPair` recursion stays sequential.
 const PAIR_GRAIN: usize = 2048;
+
+/// Marks an absent field of an [`OpenState`].
+const NONE: u32 = u32::MAX;
+
+/// One open state of a resumable traversal, 16 bytes. [`NONE`] marks an
+/// absent field:
+///
+/// * `b` absent — the self-recursion `WSPD(a)` of node `a`;
+/// * `u`, `v` absent — the unexpanded pair `FindPair(a, b)`;
+/// * all present — the well-separated pair `(a, b)` with its BCCP
+///   endpoints `(u, v)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OpenState {
+    a: NodeId,
+    b: NodeId,
+    u: u32,
+    v: u32,
+}
+
+impl OpenState {
+    /// The self-recursion of node `a`.
+    pub fn node(a: NodeId) -> Self {
+        OpenState {
+            a,
+            b: NONE,
+            u: NONE,
+            v: NONE,
+        }
+    }
+
+    /// The pair `(a, b)`, not yet expanded.
+    pub fn pair(a: NodeId, b: NodeId) -> Self {
+        OpenState {
+            a,
+            b,
+            u: NONE,
+            v: NONE,
+        }
+    }
+
+    /// The well-separated pair `(a, b)` whose BCCP endpoints are `(u, v)`.
+    pub fn separated(a: NodeId, b: NodeId, u: u32, v: u32) -> Self {
+        OpenState { a, b, u, v }
+    }
+
+    /// The pair's two nodes. Not meaningful for a node state, which no
+    /// hook ever sees.
+    pub fn nodes(&self) -> NodePair {
+        (self.a, self.b)
+    }
+
+    /// The carried BCCP endpoints, if this is a separated pair.
+    pub fn endpoints(&self) -> Option<(u32, u32)> {
+        (self.u != NONE).then_some((self.u, self.v))
+    }
+}
+
+/// What a resumable traversal does with a pair state.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Abandon the pair and all of its descendant pairs.
+    Drop,
+    /// Stop here and hand the pair to the next frontier as it is.
+    Keep,
+    /// Visit the pair if it is well-separated, split it otherwise.
+    Expand,
+}
 
 /// Generalized Algorithm 1. Calls `visit(a, b)` for every well-separated
 /// pair under `policy`, skipping any pair subtree for which `prune` returns
@@ -30,35 +107,142 @@ where
     V: Fn(NodeId, NodeId) + Sync,
 {
     if tree.len() > 1 {
-        wspd_node(tree, policy, prune, visit, tree.root());
+        wspd_resume(
+            tree,
+            policy,
+            &[OpenState::node(tree.root())],
+            &|_| false,
+            &|a, b| {
+                if prune(a, b) {
+                    Step::Drop
+                } else {
+                    Step::Expand
+                }
+            },
+            &|s| {
+                let (a, b) = s.nodes();
+                visit(a, b);
+                None
+            },
+        );
     }
 }
 
-fn wspd_node<const D: usize, P, Pr, V>(
+/// Resume Algorithm 1 from `frontier` and return the next frontier.
+///
+/// A node state is skipped when it is a leaf or `skip_node` returns true.
+/// Every pair state, carried or reached, goes through `step` first. An
+/// expanded pair that is well-separated — or a carried separated pair — is
+/// handed to `visit`, which returns the state to keep, if any. Everything
+/// kept by `step` or `visit` makes up the returned frontier, whose order
+/// depends on scheduling. The frontier's states are never ancestors of one
+/// another, so no pair is reached twice.
+pub fn wspd_resume<const D: usize, P, N, S, V>(
     tree: &KdTree<D>,
     policy: &P,
-    prune: &Pr,
+    frontier: &[OpenState],
+    skip_node: &N,
+    step: &S,
     visit: &V,
-    a: NodeId,
-) where
+) -> Vec<OpenState>
+where
     P: SeparationPolicy<D>,
-    Pr: Fn(NodeId, NodeId) -> bool + Sync,
-    V: Fn(NodeId, NodeId) + Sync,
+    N: Fn(NodeId) -> bool + Sync,
+    S: Fn(NodeId, NodeId) -> Step + Sync,
+    V: Fn(OpenState) -> Option<OpenState> + Sync,
 {
-    if tree.is_leaf(a) {
-        return;
+    let next = Collector::new();
+    let walk = Walk {
+        tree,
+        policy,
+        skip_node,
+        step,
+        visit,
+        next: &next,
+    };
+    frontier.par_iter().for_each(|&s| walk.state(s));
+    next.into_vec()
+}
+
+/// The hooks and output of one [`wspd_resume`] call.
+struct Walk<'a, const D: usize, P, N, S, V> {
+    tree: &'a KdTree<D>,
+    policy: &'a P,
+    skip_node: &'a N,
+    step: &'a S,
+    visit: &'a V,
+    next: &'a Collector<OpenState>,
+}
+
+impl<const D: usize, P, N, S, V> Walk<'_, D, P, N, S, V>
+where
+    P: SeparationPolicy<D>,
+    N: Fn(NodeId) -> bool + Sync,
+    S: Fn(NodeId, NodeId) -> Step + Sync,
+    V: Fn(OpenState) -> Option<OpenState> + Sync,
+{
+    fn state(&self, s: OpenState) {
+        if s.b == NONE {
+            self.node(s.a);
+        } else if s.u == NONE {
+            self.find_pair(s.a, s.b);
+        } else {
+            match (self.step)(s.a, s.b) {
+                Step::Drop => {}
+                Step::Keep => self.next.push(s),
+                Step::Expand => self.visit(s),
+            }
+        }
     }
-    let (l, r) = tree.children(a);
-    if tree.node_size(a) >= PAIR_GRAIN {
-        rayon::join(
-            || wspd_node(tree, policy, prune, visit, l),
-            || wspd_node(tree, policy, prune, visit, r),
+
+    fn visit(&self, s: OpenState) {
+        if let Some(kept) = (self.visit)(s) {
+            self.next.push(kept);
+        }
+    }
+
+    fn node(&self, a: NodeId) {
+        let tree = self.tree;
+        if tree.is_leaf(a) || (self.skip_node)(a) {
+            return;
+        }
+        let (l, r) = tree.children(a);
+        if tree.node_size(a) >= PAIR_GRAIN {
+            rayon::join(|| self.node(l), || self.node(r));
+        } else {
+            self.node(l);
+            self.node(r);
+        }
+        self.find_pair(l, r);
+    }
+
+    fn find_pair(&self, a: NodeId, b: NodeId) {
+        match (self.step)(a, b) {
+            Step::Drop => return,
+            Step::Keep => {
+                self.next.push(OpenState::pair(a, b));
+                return;
+            }
+            Step::Expand => {}
+        }
+        let tree = self.tree;
+        if self.policy.well_separated(tree, a, b) {
+            self.visit(OpenState::pair(a, b));
+            return;
+        }
+        let (a, b) = split_order(tree, a, b);
+        debug_assert!(
+            !tree.is_leaf(a),
+            "two leaves are always well-separated; cannot split a singleton"
         );
-    } else {
-        wspd_node(tree, policy, prune, visit, l);
-        wspd_node(tree, policy, prune, visit, r);
+        let (l, r) = tree.children(a);
+        if tree.node_size(a) + tree.node_size(b) >= PAIR_GRAIN {
+            rayon::join(|| self.find_pair(l, b), || self.find_pair(r, b));
+        } else {
+            self.find_pair(l, b);
+            self.find_pair(r, b);
+        }
     }
-    find_pair(tree, policy, prune, visit, l, r);
 }
 
 /// Choose which node of a non-well-separated pair to split (Algorithm 1
@@ -77,42 +261,6 @@ pub(crate) fn split_order<const D: usize>(
         (b, a)
     } else {
         (a, b)
-    }
-}
-
-fn find_pair<const D: usize, P, Pr, V>(
-    tree: &KdTree<D>,
-    policy: &P,
-    prune: &Pr,
-    visit: &V,
-    a: NodeId,
-    b: NodeId,
-) where
-    P: SeparationPolicy<D>,
-    Pr: Fn(NodeId, NodeId) -> bool + Sync,
-    V: Fn(NodeId, NodeId) + Sync,
-{
-    if prune(a, b) {
-        return;
-    }
-    if policy.well_separated(tree, a, b) {
-        visit(a, b);
-        return;
-    }
-    let (a, b) = split_order(tree, a, b);
-    debug_assert!(
-        !tree.is_leaf(a),
-        "two leaves are always well-separated; cannot split a singleton"
-    );
-    let (l, r) = tree.children(a);
-    if tree.node_size(a) + tree.node_size(b) >= PAIR_GRAIN {
-        rayon::join(
-            || find_pair(tree, policy, prune, visit, l, b),
-            || find_pair(tree, policy, prune, visit, r, b),
-        );
-    } else {
-        find_pair(tree, policy, prune, visit, l, b);
-        find_pair(tree, policy, prune, visit, r, b);
     }
 }
 
@@ -259,6 +407,65 @@ mod tests {
         let mut got = c2.into_vec();
         got.sort_unstable();
         assert_eq!(got, full);
+    }
+
+    /// Stopping a walk part-way and resuming it from the returned frontier
+    /// reaches exactly the pairs of the one-shot walk, each once, and hands
+    /// back carried endpoints untouched.
+    #[test]
+    fn resumed_walk_matches_one_shot() {
+        let pts = random_points::<2>(3000, 13);
+        let tree = KdTree::build(&pts);
+        let policy = GeometricSep::PAPER_DEFAULT;
+        let card = |a: NodeId, b: NodeId| tree.node_size(a) + tree.node_size(b);
+        let seen: Collector<NodePair> = Collector::new();
+        let record = |s: OpenState| {
+            let (a, b) = s.nodes();
+            seen.push((a.min(b), a.max(b)));
+        };
+
+        let frontier = wspd_resume(
+            &tree,
+            &policy,
+            &[OpenState::node(tree.root())],
+            &|_| false,
+            &|a, b| {
+                if card(a, b) > 64 {
+                    Step::Keep
+                } else {
+                    Step::Expand
+                }
+            },
+            &|s| {
+                assert_eq!(s.endpoints(), None);
+                let (a, b) = s.nodes();
+                if card(a, b) > 16 {
+                    return Some(OpenState::separated(a, b, a, b));
+                }
+                record(s);
+                None
+            },
+        );
+        assert!(frontier.iter().any(|s| s.endpoints().is_some()));
+        assert!(frontier.iter().any(|s| s.endpoints().is_none()));
+        let rest = wspd_resume(
+            &tree,
+            &policy,
+            &frontier,
+            &|_| false,
+            &|_, _| Step::Expand,
+            &|s| {
+                if let Some(uv) = s.endpoints() {
+                    assert_eq!(uv, s.nodes(), "carried endpoints come back as kept");
+                }
+                record(s);
+                None
+            },
+        );
+        assert!(rest.is_empty());
+        let mut got = seen.into_vec();
+        got.sort_unstable();
+        assert_eq!(got, wspd_materialize(&tree, &policy));
     }
 
     #[test]
