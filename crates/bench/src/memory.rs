@@ -9,8 +9,11 @@
 
 /// Conservative estimate of the resident bytes each point costs the
 /// pipeline at dimension `dims`: the caller's input `Vec`, the kd-tree's
-/// permuted copy + index + node arena (2n − 1 nodes of `16·dims + 16`
-/// bytes), union-find, forest edges, and allocator slack.
+/// permuted copy + index + node array (n − 1 internal nodes of
+/// `16·dims + 16` bytes; leaves are not stored), union-find, forest edges,
+/// and allocator slack. The value predates the leaf-free tree, which saves
+/// another `16·dims + 16` bytes a point; it is kept as headroom, so the
+/// `repro scale` batch capacities stay as they were.
 pub fn fixed_bytes_per_point(dims: usize) -> u64 {
     (48 * dims + 96) as u64
 }

@@ -25,11 +25,12 @@
 //! Child orientation implements §4.1's ordering rule: for the internal node
 //! of edge `(u, v)`, the subtree containing the endpoint with the smaller
 //! unweighted tree distance from `s` becomes the left child. Distances are
-//! computed once, via the parallel Euler-tour + list-ranking pipeline for
-//! large inputs (`parclust-primitives::euler`).
+//! computed once, by a sequential BFS from `s`
+//! (`parclust_primitives::euler::bfs_distances`), which measured faster
+//! than the paper's Euler tour and list ranking.
 
 use parclust_mst::Edge;
-use parclust_primitives::euler::tree_distances;
+use parclust_primitives::euler::bfs_distances;
 use parclust_primitives::hash::{fast_map_with_capacity, FastMap};
 use parclust_primitives::select::select_kth;
 use parclust_primitives::unionfind::UnionFind;
@@ -180,7 +181,7 @@ fn build_dendrogram(
     let m = edges.len();
 
     let tree_edges: Vec<(u32, u32)> = edges.iter().map(|e| (e.u, e.v)).collect();
-    let vertex_dist = tree_distances(n, &tree_edges, start);
+    let vertex_dist = bfs_distances(n, &tree_edges, start);
     debug_assert!(
         vertex_dist.iter().all(|&d| d != u32::MAX),
         "input edges must form a connected tree"

@@ -288,7 +288,9 @@ pub(crate) fn wspd_mst_memogfk<const D: usize, P: SeparationPolicy<D>>(
 /// reach in a later round lies at or below a kept state, and every pair
 /// `GetRho` must see (cardinality > β, lower bound ≥ the last `ρ_hi`) was
 /// kept. The rounds' `ρ_hi` and edge batches, and so the MST bits and the
-/// work counters, are those of re-walking the tree from the root.
+/// work counters, are those of re-walking the tree from the root. The
+/// component annotation is recomputed only after a batch that grew the
+/// MST.
 pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
@@ -304,10 +306,17 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     let mut beta: usize = 2;
     let mut rho_lo: f64 = 0.0;
     let mut frontier = vec![OpenState::node(tree.root())];
+    let mut comp: Vec<u32> = Vec::new();
+    // MST size when `comp` was computed: a Kruskal batch that accepts no
+    // edge leaves every union-find root, and so `comp`, as it was.
+    let mut annotated_at = None;
 
     while out.len() + 1 < n {
         rec.round();
-        let comp = component_annotation(tree, &uf, rec);
+        if annotated_at != Some(out.len()) {
+            comp = component_annotation(tree, &uf, rec);
+            annotated_at = Some(out.len());
+        }
         let one_component = |a: NodeId| comp[a as usize] != MIXED;
 
         // GetRho (Algorithm 3, line 4): lower-bound the lightest edge any

@@ -10,28 +10,28 @@
 //!
 //! # Layout
 //!
-//! Nodes live in **implicit BFS order** in parallel flat arrays
-//! (`FlatNodes`): the root is node 0, each BFS level is a contiguous id
-//! range, and children are found by *index arithmetic* instead of stored
-//! pointers. A leaf bitmap (`leaf_words`, one bit per node) plus a per-word
-//! prefix-popcount table gives O(1) rank queries, and the children of the
-//! `j`-th internal node (counting internal nodes in BFS order) are nodes
-//! `2j + 1` and `2j + 2`:
+//! Only the `n − 1` **internal** nodes are stored: one flat array in BFS
+//! order (the root is node 0 and each BFS level is a contiguous id range),
+//! each entry holding its bounding box, its permuted point range and its
+//! two child ids. A singleton leaf is not stored at all: the leaf over
+//! permuted position `p` has id `(n − 1) + p`, its range is `p..p + 1` and
+//! its box is the point itself, read from the [`PointBlock`]. So
+//! [`KdTree::is_leaf`] is one compare, and every per-node array keyed by
+//! [`NodeId`] still has [`KdTree::arena_len`] `= 2n − 1` slots:
 //!
 //! ```text
-//! id:        0   1   2   3   4   5   6  ...
-//! leaf bit:  0   0   1   0   1   1   1  ...
-//! j = id - leaves_before(id)      (rank via bitmap popcount)
-//! children(id) = (2j + 1, 2j + 2) (only defined for internal nodes)
+//! id:     0   1   2  ...  n−2 | n−1  n   ...  2n−2
+//!         internal, BFS order | leaf at position 0, 1, ..., n−1
+//! node:   bbox, start, end, [left, right]   (leaf children are ≥ n−1)
 //! ```
 //!
-//! BFS beats the textbook complete-heap layout here because spatial-median
-//! splits produce arbitrarily unbalanced trees: heap indexing would blow the
-//! array up to `2^depth`, while BFS keeps it at exactly `2n - 1` slots. The
-//! point coordinates live in a [`PointBlock`] — structure-of-arrays lanes in
-//! fixed-size blocks — so leaf-range distance loops auto-vectorize. Both
-//! pieces are position-independent flat arrays, the stepping stone to an
-//! mmap-able out-of-core tree.
+//! This is the linear-BVH split of Prokopenko et al.'s single-tree GPU
+//! EMST: half of a singleton-leaf tree's nodes are leaves, and a stored
+//! leaf box is a bit-for-bit copy of its point. BFS numbering keeps the
+//! array at exactly `n − 1` entries even though spatial-median splits make
+//! the tree arbitrarily unbalanced (a heap layout would need `2^depth`).
+//! The point coordinates live in a [`PointBlock`] — structure-of-arrays
+//! lanes in fixed-size blocks — so leaf-range distance loops auto-vectorize.
 
 pub mod knn;
 pub mod range;
@@ -42,10 +42,9 @@ use rayon::prelude::*;
 
 pub use knn::{AllKnn, KnnHeap};
 
-/// Node identifier within a [`KdTree`]: the BFS position.
+/// Node identifier within a [`KdTree`]: the BFS position of an internal
+/// node (`< n − 1`) or `n − 1 +` the permuted position of a leaf.
 pub type NodeId = u32;
-/// Marker for "no child" in the pointer-shaped build scaffolding.
-const NULL_NODE: NodeId = u32::MAX;
 
 /// Below this subtree size the build recursion runs sequentially.
 const BUILD_GRAIN: usize = 4096;
@@ -54,68 +53,19 @@ const BUILD_GRAIN: usize = 4096;
 /// processed sequentially.
 const AGG_GRAIN: usize = 1024;
 
-/// A pointer-shaped kd-tree node covering the permuted point range
-/// `start..end`, with explicit child ids (`NULL_NODE` for leaves).
+/// An internal node covering the permuted point range `start..end`, with
+/// explicit child ids (a child id `≥ n − 1` is a leaf).
 ///
-/// This is **not** the query-time representation: it exists only as the
-/// parallel build's scaffolding arena, which [`KdTree::build`] re-lays-out
-/// into the implicit-BFS [`FlatNodes`] arrays before returning.
-#[derive(Debug, Clone, Copy)]
-struct PointerNode<const D: usize> {
+/// The parallel build writes these in DFS preorder; [`relayout`] moves them
+/// into BFS order before [`KdTree::build`] returns. Nothing persists them:
+/// the build is deterministic, so a serve artifact stores only the points
+/// and every load runs [`KdTree::build`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Node<const D: usize> {
     bbox: Aabb<D>,
     start: u32,
     end: u32,
-    left: NodeId,
-    right: NodeId,
-}
-
-impl<const D: usize> Default for PointerNode<D> {
-    fn default() -> Self {
-        PointerNode {
-            bbox: Aabb::empty(),
-            start: 0,
-            end: 0,
-            left: NULL_NODE,
-            right: NULL_NODE,
-        }
-    }
-}
-
-impl<const D: usize> PointerNode<D> {
-    #[inline]
-    fn is_leaf(&self) -> bool {
-        self.left == NULL_NODE
-    }
-}
-
-/// The flat per-node storage of a [`KdTree`], BFS-ordered and
-/// structure-of-arrays: `bbox[id]`/`start[id]`/`end[id]` describe node `id`,
-/// and bit `id` of `leaf_words` marks it as a leaf. Child ids are implicit
-/// (see the crate docs) — there are no pointers to chase.
-///
-/// Nothing persists these arrays: the build is deterministic, so a serve
-/// artifact stores only the points and every load runs [`KdTree::build`].
-#[derive(Debug)]
-struct FlatNodes<const D: usize> {
-    bbox: Vec<Aabb<D>>,
-    start: Vec<u32>,
-    end: Vec<u32>,
-    /// Leaf bitmap: bit `id % 64` of word `id / 64` is set iff `id` is a leaf.
-    leaf_words: Vec<u64>,
-}
-
-/// Per-word prefix popcounts of a leaf bitmap (`table[w]` = leaves strictly
-/// before word `w`).
-fn leaf_rank_table(words: &[u64]) -> Vec<u32> {
-    let mut acc = 0u32;
-    words
-        .iter()
-        .map(|w| {
-            let r = acc;
-            acc += w.count_ones();
-            r
-        })
-        .collect()
+    kids: [NodeId; 2],
 }
 
 /// Parallel spatial-median kd-tree over a point set.
@@ -126,18 +76,18 @@ fn leaf_rank_table(words: &[u64]) -> Vec<u32> {
 pub struct KdTree<const D: usize> {
     block: PointBlock<D>,
     pub idx: Vec<u32>,
-    nodes: FlatNodes<D>,
-    leaf_rank: Vec<u32>,
-    /// BFS level boundaries: level `l` is the id range
-    /// `level_off[l]..level_off[l + 1]`; the last entry is the node count.
+    /// The `n − 1` internal nodes in BFS order.
+    nodes: Vec<Node<D>>,
+    /// BFS level boundaries of the internal nodes: level `l` is the id range
+    /// `level_off[l]..level_off[l + 1]`; the last entry is `n − 1`.
     level_off: Vec<u32>,
 }
 
 impl<const D: usize> KdTree<D> {
     /// Build the tree in parallel. `O(n log n)` work (bounding boxes are
     /// recomputed exactly at every level), polylogarithmic depth. The
-    /// pointer-shaped build arena is re-laid-out into BFS order before the
-    /// tree is returned.
+    /// preorder build arena is re-laid-out into BFS order before the tree
+    /// is returned.
     pub fn build(input: &[Point<D>]) -> Self {
         let n = input.len();
         assert!(n > 0, "KdTree::build requires at least one point");
@@ -145,68 +95,91 @@ impl<const D: usize> KdTree<D> {
         let _span = parclust_obs::span!("kdtree.build", points = n);
         let mut points = input.to_vec();
         let mut idx: Vec<u32> = (0..n as u32).collect();
-        let mut arena: Vec<PointerNode<D>> = vec![PointerNode::default(); 2 * n - 1];
-        build_recurse(&mut points, &mut idx, &mut arena, 0, 0);
+        let mut arena: Vec<Node<D>> = vec![Node::default(); n - 1];
+        build_recurse(&mut points, &mut idx, &mut arena, 0, 0, (n - 1) as NodeId);
         relayout(points, idx, &arena)
     }
 
-    /// The root node: always id 0 in BFS order.
+    /// The root node: always id 0 (internal, or the only leaf when `n = 1`).
     #[inline]
     pub fn root(&self) -> NodeId {
         0
     }
 
-    /// Is `id` a leaf? One bitmap probe.
+    /// Id of the leaf at permuted position 0; leaf ids run from here to
+    /// `2n − 2`.
+    #[inline]
+    fn first_leaf(&self) -> NodeId {
+        self.nodes.len() as NodeId
+    }
+
+    /// Is `id` a leaf? One compare.
     #[inline]
     pub fn is_leaf(&self, id: NodeId) -> bool {
-        (self.nodes.leaf_words[(id >> 6) as usize] >> (id & 63)) & 1 == 1
+        id >= self.first_leaf()
     }
 
-    /// Number of leaves with an id strictly below `id`.
+    /// The stored node of internal `id`.
     #[inline]
-    fn leaves_before(&self, id: NodeId) -> u32 {
-        let w = (id >> 6) as usize;
-        self.leaf_rank[w] + (self.nodes.leaf_words[w] & ((1u64 << (id & 63)) - 1)).count_ones()
+    fn internal(&self, id: NodeId) -> &Node<D> {
+        &self.nodes[id as usize]
     }
 
-    /// Children of internal node `id`, by index arithmetic: with `j` the
-    /// number of internal nodes before `id` in BFS order, the children sit
-    /// at `2j + 1` and `2j + 2`. Must not be called on a leaf.
+    /// Children of internal node `id`, as stored. Must not be called on a
+    /// leaf.
     #[inline]
     pub fn children(&self, id: NodeId) -> (NodeId, NodeId) {
         debug_assert!(!self.is_leaf(id), "leaves have no children");
-        let j = id - self.leaves_before(id);
-        (2 * j + 1, 2 * j + 2)
+        let [l, r] = self.internal(id).kids;
+        (l, r)
     }
 
-    /// Bounding box of node `id`.
+    /// Bounding box of node `id`; a leaf's box is its point.
     #[inline]
-    pub fn bbox(&self, id: NodeId) -> &Aabb<D> {
-        &self.nodes.bbox[id as usize]
+    pub fn bbox(&self, id: NodeId) -> Aabb<D> {
+        if self.is_leaf(id) {
+            let p = self.point((id - self.first_leaf()) as usize);
+            Aabb { lo: p, hi: p }
+        } else {
+            self.internal(id).bbox
+        }
     }
 
     /// First permuted position covered by node `id`.
     #[inline]
     pub fn node_start(&self, id: NodeId) -> u32 {
-        self.nodes.start[id as usize]
+        if self.is_leaf(id) {
+            id - self.first_leaf()
+        } else {
+            self.internal(id).start
+        }
     }
 
     /// One past the last permuted position covered by node `id`.
     #[inline]
     pub fn node_end(&self, id: NodeId) -> u32 {
-        self.nodes.end[id as usize]
+        if self.is_leaf(id) {
+            id - self.first_leaf() + 1
+        } else {
+            self.internal(id).end
+        }
     }
 
     /// Permuted position range covered by node `id`.
     #[inline]
     pub fn node_range(&self, id: NodeId) -> std::ops::Range<usize> {
-        self.nodes.start[id as usize] as usize..self.nodes.end[id as usize] as usize
+        self.node_start(id) as usize..self.node_end(id) as usize
     }
 
     /// Number of points covered by node `id`.
     #[inline]
     pub fn node_size(&self, id: NodeId) -> usize {
-        (self.nodes.end[id as usize] - self.nodes.start[id as usize]) as usize
+        if self.is_leaf(id) {
+            1
+        } else {
+            let node = self.internal(id);
+            (node.end - node.start) as usize
+        }
     }
 
     /// Number of points in the tree.
@@ -220,13 +193,15 @@ impl<const D: usize> KdTree<D> {
         self.block.is_empty()
     }
 
-    /// Total node count (`2n - 1`).
+    /// Size of the node id space (`2n − 1`): the length of every per-node
+    /// array keyed by [`NodeId`]. Only the `n − 1` internal nodes are
+    /// stored.
     #[inline]
     pub fn arena_len(&self) -> usize {
-        self.nodes.bbox.len()
+        2 * self.nodes.len() + 1
     }
 
-    /// Number of BFS levels (tree depth + 1).
+    /// Number of BFS levels of internal nodes (0 for a one-point tree).
     #[inline]
     pub fn num_levels(&self) -> usize {
         self.level_off.len() - 1
@@ -261,34 +236,45 @@ impl<const D: usize> KdTree<D> {
     /// (given the node id and the original indices of its points) and a merge
     /// function, in parallel. The returned vector is indexed by [`NodeId`].
     ///
-    /// BFS levels are processed deepest-first; within a level every node is
-    /// independent, so the result is bit-identical at every pool width.
+    /// All `n` leaves are filled first, in one contiguous parallel pass;
+    /// then the internal BFS levels, deepest first. Within a pass every node
+    /// is independent, so the result is bit-identical at every pool width.
     pub fn aggregate_bottom_up<T, L, M>(&self, leaf: &L, merge: &M) -> Vec<T>
     where
         T: Default + Clone + Send + Sync,
         L: Fn(NodeId, &[u32]) -> T + Sync,
         M: Fn(&T, &T) -> T + Sync,
     {
-        let len = self.arena_len();
-        let mut out: Vec<T> = vec![T::default(); len];
+        let first_leaf = self.first_leaf() as usize;
+        let mut out: Vec<T> = vec![T::default(); self.arena_len()];
+        let leaves = &mut out[first_leaf..];
+        let fill_leaf = |p: usize, slot: &mut T| {
+            *slot = leaf((first_leaf + p) as NodeId, &self.idx[p..p + 1]);
+        };
+        if leaves.len() >= AGG_GRAIN {
+            leaves
+                .par_iter_mut()
+                .enumerate()
+                .with_min_len(64)
+                .for_each(|(p, slot)| fill_leaf(p, slot));
+        } else {
+            for (p, slot) in leaves.iter_mut().enumerate() {
+                fill_leaf(p, slot);
+            }
+        }
         for lvl in (0..self.num_levels()).rev() {
             let (a, b) = (
                 self.level_off[lvl] as usize,
                 self.level_off[lvl + 1] as usize,
             );
-            // Children of level `lvl` all live at ids >= b: split there so
-            // the level being written and the deeper results it reads are
-            // disjoint slices.
+            // Children of level `lvl` (the next level's internal nodes, or
+            // leaves) all live at ids >= b: split there so the level being
+            // written and the deeper results it reads are disjoint slices.
             let (head, tail) = out.split_at_mut(b);
             let tail: &[T] = tail;
             let compute = |k: usize, slot: &mut T| {
-                let id = (a + k) as NodeId;
-                *slot = if self.is_leaf(id) {
-                    leaf(id, self.node_point_ids(id))
-                } else {
-                    let (l, r) = self.children(id);
-                    merge(&tail[l as usize - b], &tail[r as usize - b])
-                };
+                let [l, r] = self.nodes[a + k].kids;
+                *slot = merge(&tail[l as usize - b], &tail[r as usize - b]);
             };
             let level = &mut head[a..b];
             if level.len() >= AGG_GRAIN {
@@ -307,78 +293,65 @@ impl<const D: usize> KdTree<D> {
     }
 }
 
-/// BFS re-layout of a freshly built pointer-shaped arena (every slot
-/// reachable from slot 0) into the implicit flat representation.
-fn relayout<const D: usize>(
-    points: Vec<Point<D>>,
-    idx: Vec<u32>,
-    arena: &[PointerNode<D>],
-) -> KdTree<D> {
-    let len = arena.len();
-    let mut nodes = FlatNodes {
-        bbox: Vec::with_capacity(len),
-        start: Vec::with_capacity(len),
-        end: Vec::with_capacity(len),
-        leaf_words: vec![0u64; len.div_ceil(64)],
-    };
+/// BFS re-layout of the preorder build arena (every slot reachable from
+/// slot 0): internal nodes move to their BFS ids and their internal child
+/// ids are renumbered; leaf child ids stay as they are.
+fn relayout<const D: usize>(points: Vec<Point<D>>, idx: Vec<u32>, arena: &[Node<D>]) -> KdTree<D> {
+    let first_leaf = arena.len() as NodeId;
+    let mut nodes: Vec<Node<D>> = Vec::with_capacity(arena.len());
     let mut level_off: Vec<u32> = vec![0];
-    let mut frontier: Vec<NodeId> = vec![0];
+    let mut frontier: Vec<NodeId> = if arena.is_empty() {
+        Vec::new()
+    } else {
+        vec![0]
+    };
     let mut next: Vec<NodeId> = Vec::new();
     while !frontier.is_empty() {
+        // The next level starts right after this one.
+        let next_base = (nodes.len() + frontier.len()) as NodeId;
         for &old in &frontier {
-            let node = &arena[old as usize];
-            let new_id = nodes.bbox.len();
-            nodes.bbox.push(node.bbox);
-            nodes.start.push(node.start);
-            nodes.end.push(node.end);
-            if node.is_leaf() {
-                nodes.leaf_words[new_id >> 6] |= 1u64 << (new_id & 63);
-            } else {
-                next.push(node.left);
-                next.push(node.right);
+            let mut node = arena[old as usize];
+            for kid in &mut node.kids {
+                if *kid < first_leaf {
+                    next.push(*kid);
+                    *kid = next_base + next.len() as NodeId - 1;
+                }
             }
+            nodes.push(node);
         }
-        level_off.push(nodes.bbox.len() as u32);
+        level_off.push(nodes.len() as u32);
         std::mem::swap(&mut frontier, &mut next);
         next.clear();
     }
-    debug_assert_eq!(nodes.bbox.len(), len, "every arena slot is reachable");
-    let leaf_rank = leaf_rank_table(&nodes.leaf_words);
+    debug_assert_eq!(nodes.len(), arena.len(), "every arena slot is reachable");
     KdTree {
         block: PointBlock::from_points(&points),
         idx,
         nodes,
-        leaf_rank,
         level_off,
     }
 }
 
 /// Recursive parallel build over `points[..]`/`idx[..]` (absolute point
-/// offset `point_base`), writing pointer nodes into `nodes[..]` whose slot 0
-/// has absolute id `node_base`. A subtree over `k` points owns the
-/// contiguous slab of exactly `2k - 1` slots starting at its own id, which
-/// keeps the parallel build allocation-free after one upfront `Vec`.
+/// offset `point_base`), writing internal nodes into
+/// `nodes[..]` whose slot 0 has preorder id `node_base`. A subtree over `k`
+/// points owns the contiguous slab of exactly `k − 1` slots starting at its
+/// own id, which keeps the parallel build allocation-free after one upfront
+/// `Vec`. A one-point subtree is a leaf: its id is `first_leaf` plus its
+/// position, and it takes no slot and writes nothing.
 fn build_recurse<const D: usize>(
     points: &mut [Point<D>],
     idx: &mut [u32],
-    nodes: &mut [PointerNode<D>],
+    nodes: &mut [Node<D>],
     point_base: u32,
     node_base: u32,
+    first_leaf: NodeId,
 ) {
     let k = points.len();
-    debug_assert!(k >= 1);
-    let bbox = Aabb::from_points(points);
-
     if k == 1 {
-        nodes[0] = PointerNode {
-            bbox,
-            start: point_base,
-            end: point_base + 1,
-            left: NULL_NODE,
-            right: NULL_NODE,
-        };
         return;
     }
+    let bbox = Aabb::from_points(points);
 
     // Spatial median: split the widest dimension at its midpoint. Degenerate
     // slabs (exact duplicates, or sub-ulp extents where the midpoint equals
@@ -394,29 +367,36 @@ fn build_recurse<const D: usize>(
         split = k / 2;
     }
 
-    // Left subtree: slab [1, 2*split), right subtree: slab [2*split, 2k-1).
-    let left_id = node_base + 1;
-    let right_id = node_base + 2 * split as u32;
-    nodes[0] = PointerNode {
+    // Left subtree: slab [1, split), right subtree: slab [split, k − 1).
+    let right_base = point_base + split as u32;
+    let child = |size: usize, slot: u32, pos: u32| {
+        if size == 1 {
+            first_leaf + pos
+        } else {
+            node_base + slot
+        }
+    };
+    nodes[0] = Node {
         bbox,
         start: point_base,
         end: point_base + k as u32,
-        left: left_id,
-        right: right_id,
+        kids: [
+            child(split, 1, point_base),
+            child(k - split, split as u32, right_base),
+        ],
     };
     let (lp, rp) = points.split_at_mut(split);
     let (li, ri) = idx.split_at_mut(split);
     let (_, rest) = nodes.split_at_mut(1);
-    let (ln, rn) = rest.split_at_mut(2 * split - 1);
-
+    let (ln, rn) = rest.split_at_mut(split - 1);
     if k >= BUILD_GRAIN {
         rayon::join(
-            || build_recurse(lp, li, ln, point_base, left_id),
-            || build_recurse(rp, ri, rn, point_base + split as u32, right_id),
+            || build_recurse(lp, li, ln, point_base, node_base + 1, first_leaf),
+            || build_recurse(rp, ri, rn, right_base, node_base + split as u32, first_leaf),
         );
     } else {
-        build_recurse(lp, li, ln, point_base, left_id);
-        build_recurse(rp, ri, rn, point_base + split as u32, right_id);
+        build_recurse(lp, li, ln, point_base, node_base + 1, first_leaf);
+        build_recurse(rp, ri, rn, right_base, node_base + split as u32, first_leaf);
     }
 }
 
@@ -467,14 +447,22 @@ mod tests {
 
     fn check_tree_invariants<const D: usize>(tree: &KdTree<D>) {
         // Every point covered exactly once by leaves; bboxes contain their
-        // points; children partition the parent's range; BFS ids respect
-        // level boundaries.
+        // points; children partition the parent's range; leaves are the
+        // ids `n − 1 + position`.
         let n = tree.len();
+        let first_leaf = (n - 1) as NodeId;
         assert_eq!(tree.arena_len(), 2 * n - 1);
+        assert_eq!(tree.nodes.len(), n - 1, "only internal nodes are stored");
+        if n == 1 {
+            assert!(tree.is_leaf(tree.root()));
+            assert_eq!(tree.root(), 0, "the root of a one-point tree is leaf 0");
+            assert_eq!(tree.node_range(tree.root()), 0..1);
+        }
         let mut covered = vec![false; n];
         let mut stack = vec![tree.root()];
         while let Some(id) = stack.pop() {
             assert!(tree.node_size(id) >= 1);
+            assert_eq!(tree.node_size(id), tree.node_range(id).len());
             for pos in tree.node_range(id) {
                 assert!(
                     tree.bbox(id).contains(&tree.point(pos)),
@@ -483,19 +471,25 @@ mod tests {
             }
             if tree.is_leaf(id) {
                 assert_eq!(tree.node_size(id), 1, "leaves must be singletons");
+                assert_eq!(id, first_leaf + tree.node_start(id));
                 for i in tree.node_range(id) {
                     assert!(!covered[i], "point covered twice");
                     covered[i] = true;
                 }
             } else {
                 let (l, r) = tree.children(id);
-                assert!(
-                    l > id && r == l + 1,
-                    "children must follow the parent in BFS"
-                );
+                assert!(l > id && r > id, "children must follow the parent");
                 assert_eq!(tree.node_start(l), tree.node_start(id));
                 assert_eq!(tree.node_end(l), tree.node_start(r));
                 assert_eq!(tree.node_end(r), tree.node_end(id));
+                for kid in [l, r] {
+                    if tree.is_leaf(kid) {
+                        assert_eq!(kid, first_leaf + tree.node_start(kid));
+                    }
+                }
+                if !tree.is_leaf(l) && !tree.is_leaf(r) {
+                    assert_eq!(r, l + 1, "internal siblings must be adjacent");
+                }
                 stack.push(l);
                 stack.push(r);
             }
@@ -507,16 +501,25 @@ mod tests {
             assert!(!seen[i as usize]);
             seen[i as usize] = true;
         }
-        // Level offsets tile the arena and children land one level deeper.
+        // Level offsets tile the internal ids `0..n − 1`, and the internal
+        // children of one level, in order, are exactly the next level.
         assert_eq!(tree.level_off[0], 0);
-        assert_eq!(*tree.level_off.last().unwrap() as usize, tree.arena_len());
+        assert_eq!(*tree.level_off.last().unwrap(), first_leaf);
+        assert!(tree.level_off.windows(2).all(|w| w[0] < w[1]));
         for lvl in 0..tree.num_levels() {
-            for id in tree.level_off[lvl]..tree.level_off[lvl + 1] {
-                if !tree.is_leaf(id) {
+            let kids: Vec<NodeId> = (tree.level_off[lvl]..tree.level_off[lvl + 1])
+                .flat_map(|id| {
                     let (l, r) = tree.children(id);
-                    assert!(l >= tree.level_off[lvl + 1] && r < tree.level_off[lvl + 2]);
-                }
-            }
+                    [l, r]
+                })
+                .filter(|&kid| !tree.is_leaf(kid))
+                .collect();
+            let next_level: Vec<NodeId> = if lvl + 2 < tree.level_off.len() {
+                (tree.level_off[lvl + 1]..tree.level_off[lvl + 2]).collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(kids, next_level, "level {lvl} must feed the next level");
         }
     }
 
@@ -582,20 +585,73 @@ mod tests {
     }
 
     #[test]
+    fn build_layout_identical_across_pool_widths() {
+        // The parallel build writes preorder slabs whatever the schedule,
+        // and the BFS re-layout is sequential: one layout at every width.
+        fn layout(tree: &KdTree<3>) -> Vec<u64> {
+            let mut out: Vec<u64> = tree.idx.iter().map(|&i| i as u64).collect();
+            out.extend(tree.level_off.iter().map(|&o| o as u64));
+            for node in &tree.nodes {
+                for i in 0..3 {
+                    out.extend([node.bbox.lo[i].to_bits(), node.bbox.hi[i].to_bits()]);
+                }
+                out.extend([node.start, node.end, node.kids[0], node.kids[1]].map(u64::from));
+            }
+            out
+        }
+        let mut pts = random_points::<3>(40_000, 7);
+        pts.extend_from_within(..10_000);
+        let want = layout(&KdTree::build(&pts));
+        for threads in [1, 2, 8] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("thread pool");
+            for _ in 0..3 {
+                let got = layout(&pool.install(|| KdTree::build(&pts)));
+                assert!(got == want, "layout differs at {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn every_box_is_the_box_of_its_points() {
+        // A leaf's box is derived from its point, an internal box is
+        // stored: both must be bitwise the box of the node's points.
+        let bits = |b: &Aabb<3>| -> Vec<u64> {
+            (0..3)
+                .flat_map(|i| [b.lo[i].to_bits(), b.hi[i].to_bits()])
+                .collect()
+        };
+        let mut pts = random_points::<3>(3_000, 6);
+        pts.extend_from_within(..500);
+        pts.push(Point([-0.0, 0.0, -0.0]));
+        let tree = KdTree::build(&pts);
+        assert_eq!(
+            tree.nodes.len(),
+            pts.len() - 1,
+            "one stored box per internal node"
+        );
+        for id in 0..tree.arena_len() as NodeId {
+            let want: Vec<Point<3>> = tree.node_range(id).map(|p| tree.point(p)).collect();
+            assert_eq!(
+                bits(&tree.bbox(id)),
+                bits(&Aabb::from_points(&want)),
+                "node {id}"
+            );
+        }
+    }
+
+    #[test]
     fn aggregate_sizes() {
         let pts = random_points::<2>(10_000, 4);
         let tree = KdTree::build(&pts);
         // Aggregate: subtree point counts.
         let counts = tree.aggregate_bottom_up(&|_, ids| ids.len(), &|a: &usize, b: &usize| a + b);
+        assert_eq!(counts.len(), tree.arena_len());
         assert_eq!(counts[tree.root() as usize], 10_000);
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
+        for id in 0..tree.arena_len() as NodeId {
             assert_eq!(counts[id as usize], tree.node_size(id));
-            if !tree.is_leaf(id) {
-                let (l, r) = tree.children(id);
-                stack.push(l);
-                stack.push(r);
-            }
         }
     }
 
@@ -620,14 +676,15 @@ mod tests {
             },
             &|a: &MinX, b: &MinX| MinX(a.0.min(b.0)),
         );
-        let mut stack = vec![tree.root()];
-        while let Some(id) = stack.pop() {
+        for id in 0..tree.arena_len() as NodeId {
             assert_eq!(mins[id as usize].0, tree.bbox(id).lo[0]);
-            if !tree.is_leaf(id) {
-                let (l, r) = tree.children(id);
-                stack.push(l);
-                stack.push(r);
-            }
         }
+    }
+
+    #[test]
+    fn aggregate_one_point_tree() {
+        let tree = KdTree::build(&[Point([5.0, 6.0])]);
+        let counts = tree.aggregate_bottom_up(&|_, ids| ids.len(), &|a: &usize, b: &usize| a + b);
+        assert_eq!(counts, vec![1]);
     }
 }

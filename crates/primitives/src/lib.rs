@@ -2,8 +2,8 @@
 //!
 //! This crate provides the building blocks assumed by the paper's algorithms
 //! (Section 2.2, "Parallel Primitives"): prefix sum, filter/pack, split,
-//! parallel selection, list ranking, Euler tours, the `WRITE_MIN` priority
-//! concurrent write, and union-find.
+//! parallel selection, the `WRITE_MIN` priority concurrent write, and
+//! union-find, plus the unweighted tree distances the dendrogram needs.
 //!
 //! All primitives are implemented on top of [`rayon`]'s work-stealing
 //! fork-join runtime, the Rust analogue of the Cilk runtime used by the
@@ -14,7 +14,6 @@ pub mod atomic;
 pub mod collector;
 pub mod euler;
 pub mod hash;
-pub mod listrank;
 pub mod pack;
 pub mod scan;
 pub mod select;

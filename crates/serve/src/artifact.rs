@@ -178,7 +178,7 @@ impl<const D: usize> ClusterModel<D> {
 
     /// Bounding box of the training points (the kd-tree root box).
     pub fn bbox(&self) -> Aabb<D> {
-        *self.tree.bbox(self.tree.root())
+        self.tree.bbox(self.tree.root())
     }
 
     /// Serialize into `w` (no checksum — [`ClusterModel::save`] appends it).

@@ -53,17 +53,17 @@ impl GeometricSep {
 impl<const D: usize> SeparationPolicy<D> for GeometricSep {
     #[inline]
     fn well_separated(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> bool {
-        tree.bbox(a).well_separated(tree.bbox(b), self.s)
+        tree.bbox(a).well_separated(&tree.bbox(b), self.s)
     }
 
     #[inline]
     fn lower_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
-        tree.bbox(a).min_dist_sq(tree.bbox(b)).sqrt()
+        tree.bbox(a).min_dist_sq(&tree.bbox(b)).sqrt()
     }
 
     #[inline]
     fn upper_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
-        tree.bbox(a).max_dist_sq(tree.bbox(b)).sqrt()
+        tree.bbox(a).max_dist_sq(&tree.bbox(b)).sqrt()
     }
 
     #[inline]
@@ -115,10 +115,10 @@ impl<'a, const D: usize> SeparationPolicy<D> for MutualReachSep<'a> {
     fn well_separated(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> bool {
         let (ba, bb) = (tree.bbox(a), tree.bbox(b));
         match self.mode {
-            SepMode::Standard => ba.well_separated(bb, 2.0),
+            SepMode::Standard => ba.well_separated(&bb, 2.0),
             SepMode::Combined => {
                 // Section 3.2.2, using the sphere-based d(A,B) of Table 1.
-                let d = ba.sphere_min_dist(bb);
+                let d = ba.sphere_min_dist(&bb);
                 let max_diam = ba.diameter().max(bb.diameter());
                 let geometrically_separated = d >= max_diam;
                 if geometrically_separated {
@@ -134,13 +134,13 @@ impl<'a, const D: usize> SeparationPolicy<D> for MutualReachSep<'a> {
 
     #[inline]
     fn lower_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
-        let d = tree.bbox(a).min_dist_sq(tree.bbox(b)).sqrt();
+        let d = tree.bbox(a).min_dist_sq(&tree.bbox(b)).sqrt();
         d.max(self.cd_min[a as usize]).max(self.cd_min[b as usize])
     }
 
     #[inline]
     fn upper_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
-        let d = tree.bbox(a).max_dist_sq(tree.bbox(b)).sqrt();
+        let d = tree.bbox(a).max_dist_sq(&tree.bbox(b)).sqrt();
         d.max(self.cd_max[a as usize]).max(self.cd_max[b as usize])
     }
 

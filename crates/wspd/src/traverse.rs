@@ -307,7 +307,7 @@ mod tests {
         let mut count = vec![0u32; n * n];
         for &(a, b) in pairs {
             assert!(
-                tree.bbox(a).well_separated(tree.bbox(b), 2.0),
+                tree.bbox(a).well_separated(&tree.bbox(b), 2.0),
                 "pair must be well-separated"
             );
             for &u in tree.node_point_ids(a) {
