@@ -328,7 +328,13 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                 tree,
                 policy,
                 &frontier,
-                &|a| one_component(a) || tree.node_size(a) <= beta,
+                &|a| {
+                    if one_component(a) || tree.node_size(a) <= beta {
+                        Step::Drop
+                    } else {
+                        Step::Expand
+                    }
+                },
                 &|a, b| {
                     if same_component(&comp, a, b)
                         || tree.node_size(a) + tree.node_size(b) <= beta
@@ -357,7 +363,13 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                 tree,
                 policy,
                 &frontier,
-                &one_component,
+                &|a| {
+                    if one_component(a) {
+                        Step::Drop
+                    } else {
+                        Step::Expand
+                    }
+                },
                 &|a, b| {
                     if same_component(&comp, a, b) || policy.upper_bound(tree, a, b) < rho_lo {
                         Step::Drop

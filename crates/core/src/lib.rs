@@ -33,7 +33,6 @@
 //! threads. Results are bit-identical at every thread count — see
 //! `tests/parallel_semantics.rs` for the pinned contract.
 
-pub mod dbscan;
 pub mod dendrogram;
 pub mod emst;
 pub mod extract;
@@ -47,7 +46,6 @@ mod drivers;
 pub use drivers::BetaSchedule;
 pub use emst::emst_memogfk_with_schedule;
 
-pub use dbscan::dbscan_star_direct;
 pub use dendrogram::{
     count_clusters, dbscan_star_labels, dendrogram_par, dendrogram_par_with, dendrogram_seq,
     reachability_plot, single_linkage_cut, single_linkage_k, Dendrogram, DendrogramParams, NOISE,

@@ -1,12 +1,9 @@
-//! Radius (range) queries.
+//! Stabbing queries over per-point radii.
 //!
-//! DBSCAN-style algorithms need "all points within distance ε of q"; the
+//! Incremental HDBSCAN\* needs "all points whose own ball contains q"; the
 //! kd-tree answers it by pruning subtrees whose bounding boxes are farther
-//! than ε. Used by the direct DBSCAN\* implementation that the bench
-//! harness contrasts with the one-hierarchy-many-ε HDBSCAN\* workflow the
-//! paper advocates. Small undecided subtrees are scanned with the SoA lane
-//! kernel rather than descended; the output order is unchanged because both
-//! the descent and the batch emit points in ascending permuted order.
+//! from q than the largest radius below them. Small undecided subtrees are
+//! scanned with the SoA lane kernel rather than descended.
 
 use parclust_geom::Point;
 
@@ -17,53 +14,6 @@ use crate::{KdTree, NodeId};
 const RANGE_BATCH: usize = 16;
 
 impl<const D: usize> KdTree<D> {
-    /// Original indices of all points within Euclidean distance `radius`
-    /// of `q` (inclusive), in arbitrary order. Includes any tree point
-    /// equal to `q`.
-    pub fn within_radius(&self, q: &Point<D>, radius: f64) -> Vec<u32> {
-        let mut out = Vec::new();
-        self.within_radius_into(q, radius, &mut out);
-        out
-    }
-
-    /// [`KdTree::within_radius`] into a reusable buffer (cleared first).
-    pub fn within_radius_into(&self, q: &Point<D>, radius: f64, out: &mut Vec<u32>) {
-        out.clear();
-        assert!(radius >= 0.0 && radius.is_finite());
-        let r_sq = radius * radius;
-        self.range_recurse(self.root(), q, r_sq, out);
-    }
-
-    /// Count of points within `radius` of `q` — enough for core-point
-    /// tests, cheaper than materializing ids.
-    pub fn count_within_radius(&self, q: &Point<D>, radius: f64) -> usize {
-        let r_sq = radius * radius;
-        let mut count = 0usize;
-        self.range_count_recurse(self.root(), q, r_sq, &mut count);
-        count
-    }
-
-    fn range_recurse(&self, id: NodeId, q: &Point<D>, r_sq: f64, out: &mut Vec<u32>) {
-        if self.bbox(id).dist_sq_to_point(q) > r_sq {
-            return;
-        }
-        let size = self.node_size(id);
-        if size <= RANGE_BATCH {
-            let start = self.node_start(id) as usize;
-            let mut buf = [0.0f64; RANGE_BATCH];
-            self.coords().dist_sq_into(q, start, size, &mut buf);
-            for (&d_sq, &orig) in buf[..size].iter().zip(&self.idx[start..start + size]) {
-                if d_sq <= r_sq {
-                    out.push(orig);
-                }
-            }
-            return;
-        }
-        let (l, r) = self.children(id);
-        self.range_recurse(l, q, r_sq, out);
-        self.range_recurse(r, q, r_sq, out);
-    }
-
     /// Per-node maximum of a per-point radius field (squared), indexed by
     /// [`NodeId`] — the pruning annotation for [`KdTree::stab_radii_into`].
     /// `radius_sq_by_orig[i]` is the squared radius attached to original
@@ -150,40 +100,6 @@ impl<const D: usize> KdTree<D> {
         self.stab_recurse(l, q, radius_sq_by_orig, node_max_sq, inclusive, out);
         self.stab_recurse(r, q, radius_sq_by_orig, node_max_sq, inclusive, out);
     }
-
-    fn range_count_recurse(&self, id: NodeId, q: &Point<D>, r_sq: f64, count: &mut usize) {
-        let bbox = self.bbox(id);
-        let d_min = bbox.dist_sq_to_point(q);
-        if d_min > r_sq {
-            return;
-        }
-        // Whole-subtree acceptance: the farthest box corner within range.
-        let d_max = {
-            let mut acc = 0.0;
-            for i in 0..D {
-                let lo = (q[i] - bbox.lo[i]).abs();
-                let hi = (q[i] - bbox.hi[i]).abs();
-                let d = lo.max(hi);
-                acc += d * d;
-            }
-            acc
-        };
-        let size = self.node_size(id);
-        if d_max <= r_sq {
-            *count += size;
-            return;
-        }
-        if size <= RANGE_BATCH {
-            let start = self.node_start(id) as usize;
-            let mut buf = [0.0f64; RANGE_BATCH];
-            self.coords().dist_sq_into(q, start, size, &mut buf);
-            *count += buf[..size].iter().filter(|&&d_sq| d_sq <= r_sq).count();
-            return;
-        }
-        let (l, r) = self.children(id);
-        self.range_count_recurse(l, q, r_sq, count);
-        self.range_count_recurse(r, q, r_sq, count);
-    }
 }
 
 #[cfg(test)]
@@ -202,50 +118,6 @@ mod tests {
                 ])
             })
             .collect()
-    }
-
-    #[test]
-    fn matches_brute_force() {
-        let pts = random_points(800, 1);
-        let tree = KdTree::build(&pts);
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..50 {
-            let q = Point([
-                rng.gen_range(-25.0..25.0),
-                rng.gen_range(-25.0..25.0),
-                rng.gen_range(-25.0..25.0),
-            ]);
-            let r = rng.gen_range(0.5..15.0);
-            let mut got = tree.within_radius(&q, r);
-            got.sort_unstable();
-            let mut want: Vec<u32> = (0..pts.len() as u32)
-                .filter(|&i| pts[i as usize].dist(&q) <= r)
-                .collect();
-            want.sort_unstable();
-            assert_eq!(got, want);
-            assert_eq!(tree.count_within_radius(&q, r), want.len());
-        }
-    }
-
-    #[test]
-    fn zero_radius_finds_exact_matches() {
-        let pts = vec![
-            Point([1.0, 1.0, 1.0]),
-            Point([1.0, 1.0, 1.0]),
-            Point([2.0, 2.0, 2.0]),
-        ];
-        let tree = KdTree::build(&pts);
-        let mut got = tree.within_radius(&Point([1.0, 1.0, 1.0]), 0.0);
-        got.sort_unstable();
-        assert_eq!(got, vec![0, 1]);
-    }
-
-    #[test]
-    fn radius_covering_everything() {
-        let pts = random_points(300, 3);
-        let tree = KdTree::build(&pts);
-        assert_eq!(tree.within_radius(&pts[0], 1e6).len(), 300);
-        assert_eq!(tree.count_within_radius(&pts[0], 1e6), 300);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Priority concurrent writes (`WRITE_MIN` / `WRITE_MAX`).
+//! Priority concurrent writes (`WRITE_MIN`).
 //!
 //! The paper assumes a priority concurrent write that, under concurrent
 //! writers, keeps the smallest value (Section 2.2, citing Shun et al.
@@ -54,47 +54,6 @@ impl AtomicF64Min {
     #[inline]
     pub fn store(&self, v: f64) {
         self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// An `f64` cell supporting `write_max`. Initialized to `-inf`.
-#[derive(Debug)]
-pub struct AtomicF64Max(AtomicU64);
-
-impl Default for AtomicF64Max {
-    fn default() -> Self {
-        Self::new(f64::NEG_INFINITY)
-    }
-}
-
-impl AtomicF64Max {
-    pub fn new(v: f64) -> Self {
-        Self(AtomicU64::new(v.to_bits()))
-    }
-
-    /// `WRITE_MAX`: atomically replace the stored value with `v` if larger.
-    #[inline]
-    pub fn write_max(&self, v: f64) -> bool {
-        let mut cur = self.0.load(Ordering::Relaxed);
-        loop {
-            if f64::from_bits(cur) >= v {
-                return false;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                v.to_bits(),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    #[inline]
-    pub fn load(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
     }
 }
 
@@ -178,15 +137,6 @@ mod tests {
             .map(|i| ((i * 2654435761) % 1_000_003) as f64)
             .fold(f64::INFINITY, f64::min);
         assert_eq!(m.load(), want);
-    }
-
-    #[test]
-    fn write_max_concurrent() {
-        let m = AtomicF64Max::default();
-        (0..50_000u64).into_par_iter().for_each(|i| {
-            m.write_max((i % 9973) as f64);
-        });
-        assert_eq!(m.load(), 9972.0);
     }
 
     #[test]

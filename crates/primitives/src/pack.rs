@@ -52,50 +52,6 @@ where
     out
 }
 
-/// Parallel filter over the index domain `0..n`: returns all `i` (as `u32`)
-/// with `f(i)` true, in increasing order. `n` must fit in `u32`.
-pub fn pack_indices<F>(n: usize, f: F) -> Vec<u32>
-where
-    F: Fn(usize) -> bool + Send + Sync,
-{
-    assert!(n <= u32::MAX as usize, "index domain exceeds u32");
-    if n < SEQ_CUTOFF {
-        return (0..n).filter(|&i| f(i)).map(|i| i as u32).collect();
-    }
-    let bs = block_size(n);
-    let nblocks = n.div_ceil(bs);
-    let counts: Vec<usize> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * bs;
-            let hi = (lo + bs).min(n);
-            (lo..hi).filter(|&i| f(i)).count()
-        })
-        .collect();
-    let (offsets, total) = scan_exclusive_usize(&counts);
-    let mut out: Vec<u32> = Vec::with_capacity(total);
-    // SAFETY: capacity is `total`; the block offsets partition [0, total)
-    // and each index is written exactly once below. u32 needs no drop.
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(total)
-    };
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    (0..nblocks).into_par_iter().for_each(|b| {
-        let lo = b * bs;
-        let hi = (lo + bs).min(n);
-        let mut pos = offsets[b];
-        for i in lo..hi {
-            if f(i) {
-                // SAFETY: blocks write disjoint ranges.
-                unsafe { out_ptr.write(pos, i as u32) };
-                pos += 1;
-            }
-        }
-    });
-    out
-}
-
 /// Parallel stable split: returns a vector with all "true" elements first
 /// (in order), then all "false" elements (in order), plus the number of
 /// "true" elements. This is the `SPLIT` primitive used by Algorithm 2.
@@ -184,14 +140,6 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn pack_indices_matches() {
-        let n = 100_000;
-        let got = pack_indices(n, |i| i % 7 == 3);
-        let want: Vec<u32> = (0..n).filter(|i| i % 7 == 3).map(|i| i as u32).collect();
-        assert_eq!(got, want);
-    }
-
     /// Adversarial sizes around every boundary (empty, singleton, the
     /// sequential cutoff, block-size multiples ± 1, and a large input),
     /// driven through a real multi-worker pool.
@@ -223,10 +171,6 @@ mod tests {
                 let got = pack(&xs, |&x| x % 3 == 0);
                 let want: Vec<u64> = xs.iter().copied().filter(|&x| x % 3 == 0).collect();
                 assert_eq!(got, want, "pack mismatch at n={n}");
-
-                let got_idx = pack_indices(n, |i| i % 5 == 2);
-                let want_idx: Vec<u32> = (0..n).filter(|i| i % 5 == 2).map(|i| i as u32).collect();
-                assert_eq!(got_idx, want_idx, "pack_indices mismatch at n={n}");
 
                 let (out, ntrue) = split(&xs, |&x| x & 1 == 0);
                 let want_t: Vec<u64> = xs.iter().copied().filter(|&x| x & 1 == 0).collect();

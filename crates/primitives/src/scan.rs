@@ -83,19 +83,6 @@ pub fn scan_exclusive_usize(input: &[usize]) -> (Vec<usize>, usize) {
     scan_exclusive(input, 0usize, |a, b| a + b)
 }
 
-/// Inclusive prefix sum under an associative `op`.
-pub fn scan_inclusive<T, F>(input: &[T], identity: T, op: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Send + Sync,
-{
-    let (mut out, _) = scan_exclusive(input, identity, &op);
-    for (o, &x) in out.iter_mut().zip(input.iter()) {
-        *o = op(*o, x);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,17 +112,6 @@ mod tests {
             acc += x;
         }
         assert_eq!(total, acc);
-    }
-
-    #[test]
-    fn inclusive_matches() {
-        let xs: Vec<u64> = (0..50_000).map(|i| i % 17).collect();
-        let inc = scan_inclusive(&xs, 0u64, |a, b| a + b);
-        let mut acc = 0u64;
-        for (i, &x) in xs.iter().enumerate() {
-            acc += x;
-            assert_eq!(inc[i], acc, "mismatch at {i}");
-        }
     }
 
     /// Adversarial sizes (0, 1, block ± 1, cutoff ± 1, huge) under a real

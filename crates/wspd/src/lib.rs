@@ -16,15 +16,17 @@
 //! * **approximate OPTICS** — geometric separation with
 //!   `s = sqrt(8/ρ)` (Appendix C).
 //!
-//! [`traverse::wspd_resume`] runs the traversal from a frontier of open
-//! states and returns the states its hooks keep, so each of MemoGFK's
-//! `GetRho`/`GetPairs` rounds (Algorithm 3) resumes where the last round
-//! stopped instead of re-walking the tree. [`traverse::wspd_traverse`] is
-//! the one-shot walk from the root with a pruning hook.
-//! [`stream::wspd_stream_batches`] produces the same decomposition in
-//! bounded batches for the out-of-core pipeline, and [`bccp`] provides the
-//! exact BCCP/BCCP\* branch-and-bound used to turn well-separated pairs
-//! into candidate MST edges.
+//! Algorithm 1 is written once, in [`traverse::wspd_resume`]: it runs the
+//! traversal from a frontier of open node and pair states and returns the
+//! states its hooks keep, so each of MemoGFK's `GetRho`/`GetPairs` rounds
+//! (Algorithm 3) resumes where the last round stopped instead of
+//! re-walking the tree. [`traverse::wspd_traverse`] is the one-shot walk
+//! from the root with a pruning hook. [`stream::wspd_stream_batches`]
+//! produces the same decomposition in bounded batches for the out-of-core
+//! pipeline by walking the small states one `wspd_resume` keeps, each with
+//! its own `wspd_resume`. [`bccp`] provides the exact BCCP/BCCP\*
+//! branch-and-bound used to turn well-separated pairs into candidate MST
+//! edges.
 
 pub mod bccp;
 pub mod policy;

@@ -1,64 +1,39 @@
 //! Streaming (bounded-batch) well-separated pair production.
 //!
-//! [`wspd_stream_batches`] enumerates exactly the pair set of
-//! [`crate::wspd_materialize`] — the same recursion, the same split rule —
-//! but never *delivers* more than `cap` pairs at once: batches are handed
-//! to the caller's callback and cleared. This is the ingestion side of the
-//! bounded-memory pipeline: batches flow straight into BCCP computation and
-//! streaming Kruskal merges instead of a materialized `Vec` of the whole
-//! decomposition.
+//! [`wspd_stream_batches`] delivers exactly the pair set of
+//! [`crate::wspd_materialize`] but never more than `cap` pairs at once:
+//! batches are handed to the caller's callback and cleared. This is the
+//! ingestion side of the bounded-memory pipeline: batches flow straight
+//! into BCCP computation and streaming Kruskal merges instead of a
+//! materialized `Vec` of the whole decomposition.
 //!
-//! Production is **parallel but order-deterministic**. The sequential
-//! depth-first enumeration defines a canonical pair sequence; the parallel
-//! producer splits that recursion into a DFS-ordered list of independent
-//! tasks (each task owning one contiguous run of the sequence), enumerates
-//! tasks concurrently in waves, and re-concatenates their outputs in task
-//! order. Batch boundaries are then fixed `cap`-sized windows of the
-//! canonical sequence — *identical* to the sequential batcher's, at every
+//! The batcher has no recursion of its own: Algorithm 1 is
+//! [`crate::wspd_resume`]'s. One walk from the root keeps, as the task
+//! list, every node or pair state whose nodes cover fewer than
+//! `PAIR_GRAIN` points, plus every well-separated pair reached above that
+//! size. The tasks are sorted by the end of the span of positions they
+//! cover, then the span's length, then their nodes, so a region's inner
+//! pairs stream before the pairs that join it to its neighbours. Waves of
+//! tasks are then walked in parallel, each task by its own `wspd_resume`,
+//! which stays on one thread below the grain and so emits the task's pairs
+//! in depth-first order.
+//!
+//! The stream is the tasks' outputs concatenated in task order, and batch
+//! boundaries are fixed `cap`-sized windows of it. Neither depends on the
 //! pool width, which is the contract `tests/streaming_semantics.rs` pins.
 //! Production of wave `k+1` overlaps with consumption of wave `k` (one
-//! `rayon::join`), so the downstream `StreamingForest` merge no longer
-//! serializes behind a fully sequential DFS front-end.
-//!
-//! Each batch arrives canonically ordered the way the traversal discovers
-//! pairs. Consumers that need scheduling-independent output re-sort,
-//! exactly as they do for the materialized path.
+//! `rayon::join`). Consumers that need scheduling-independent output
+//! re-sort, exactly as they do for the materialized path.
 
-use std::collections::VecDeque;
-
-use parclust_kdtree::{KdTree, NodeId};
+use parclust_kdtree::KdTree;
 use rayon::prelude::*;
 
 use crate::policy::SeparationPolicy;
-use crate::traverse::NodePair;
+use crate::traverse::{wspd_resume, NodePair, OpenState, Step, PAIR_GRAIN};
 
-/// Inputs below this size take the sequential path outright; task
-/// expansion overhead would dominate.
-const PAR_STREAM_CUTOFF: usize = 2048;
-
-/// Producer tasks stop splitting below this combined node size (same scale
-/// as the traversal's `PAIR_GRAIN`).
-const TASK_GRAIN: usize = 2048;
-
-/// Task-list expansion stops once this many tasks exist; plenty of slack
-/// for stealing without flooding tiny tasks. Width-independent on purpose —
-/// the task list (hence the canonical sequence) never depends on the pool.
-const TASK_TARGET: usize = 256;
-
-/// One contiguous run of the canonical DFS pair sequence.
-///
-/// Expansion rules (each preserves the task's output, in order):
-/// * `Node(a)`, `a` internal → `[Node(l), Node(r), Pair(l, r)]`
-///   (mirrors `stream_node`: left subtree, right subtree, cross pairs);
-/// * `Node(a)`, `a` leaf → `[]` (a leaf emits nothing);
-/// * `Pair(a, b)` not well-separated, `(s, o) = split_order(a, b)` →
-///   `[Pair(s.left, o), Pair(s.right, o)]` (mirrors `stream_pair`);
-/// * `Pair(a, b)` well-separated → terminal, emits exactly that pair.
-#[derive(Clone, Copy)]
-enum Task {
-    Node(NodeId),
-    Pair(NodeId, NodeId),
-}
+/// Beyond the first thread, each thread adds `1/WAVES` of the points all
+/// tasks cover to a wave.
+const WAVES: usize = 64;
 
 /// Enumerate the WSPD of `tree` under `policy`, delivering pairs in batches
 /// of at most `cap`. `on_batch` receives a buffer of canonically-ordered
@@ -79,220 +54,98 @@ pub fn wspd_stream_batches<const D: usize, P, F>(
         return;
     }
     let _span = parclust_obs::span!("wspd.stream", points = tree.len());
-    if rayon::current_num_threads() <= 1 || tree.len() < PAR_STREAM_CUTOFF {
-        let mut buf: Vec<NodePair> = Vec::with_capacity(cap.min(1 << 20));
-        stream_node(tree, policy, cap, &mut buf, on_batch, tree.root());
-        if !buf.is_empty() {
-            on_batch(&mut buf);
-            buf.clear();
-        }
-        return;
-    }
-    stream_parallel(tree, policy, cap, on_batch);
-}
-
-// ---------------------------------------------------------------------------
-// Sequential reference path (defines the canonical sequence).
-
-fn stream_node<const D: usize, P, F>(
-    tree: &KdTree<D>,
-    policy: &P,
-    cap: usize,
-    buf: &mut Vec<NodePair>,
-    on_batch: &mut F,
-    a: NodeId,
-) where
-    P: SeparationPolicy<D>,
-    F: FnMut(&mut Vec<NodePair>),
-{
-    if tree.is_leaf(a) {
-        return;
-    }
-    let (l, r) = tree.children(a);
-    stream_node(tree, policy, cap, buf, on_batch, l);
-    stream_node(tree, policy, cap, buf, on_batch, r);
-    stream_pair(tree, policy, cap, buf, on_batch, l, r);
-}
-
-fn stream_pair<const D: usize, P, F>(
-    tree: &KdTree<D>,
-    policy: &P,
-    cap: usize,
-    buf: &mut Vec<NodePair>,
-    on_batch: &mut F,
-    a: NodeId,
-    b: NodeId,
-) where
-    P: SeparationPolicy<D>,
-    F: FnMut(&mut Vec<NodePair>),
-{
-    if policy.well_separated(tree, a, b) {
-        buf.push(if a < b { (a, b) } else { (b, a) });
-        if buf.len() >= cap {
-            on_batch(buf);
-            buf.clear();
-        }
-        return;
-    }
-    // Same split rule as `traverse::find_pair` (shared helper) so the
-    // streamed pair set matches the materialized one exactly.
-    let (a, b) = crate::traverse::split_order(tree, a, b);
-    debug_assert!(
-        !tree.is_leaf(a),
-        "two leaves are always well-separated; cannot split a singleton"
-    );
-    let (l, r) = tree.children(a);
-    stream_pair(tree, policy, cap, buf, on_batch, l, b);
-    stream_pair(tree, policy, cap, buf, on_batch, r, b);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel producer.
-
-fn stream_parallel<const D: usize, P, F>(tree: &KdTree<D>, policy: &P, cap: usize, on_batch: &mut F)
-where
-    P: SeparationPolicy<D>,
-    F: FnMut(&mut Vec<NodePair>) + Send,
-{
-    let tasks = expand_tasks(tree, policy);
-    // Wave size scales with the pool so every worker has a task and a
-    // steal target; output is wave-partition-independent, so the width
-    // dependence here cannot leak into batch boundaries.
-    let wave = rayon::current_num_threads().max(2) * 4;
-
-    let mut pending: VecDeque<NodePair> = VecDeque::new();
-    let mut batch: Vec<NodePair> = Vec::with_capacity(cap.min(1 << 20));
-    let produce = |chunk: &[Task]| -> Vec<Vec<NodePair>> {
-        chunk
-            .par_iter()
+    let tasks = task_list(tree, policy);
+    // Each task's pairs, canonical and at exact capacity: a wave's output
+    // is held until it is drained.
+    let produce = |wave: &[OpenState]| -> Vec<Vec<NodePair>> {
+        wave.par_iter()
             .map(|&task| {
-                let mut out = Vec::new();
-                match task {
-                    Task::Node(a) => collect_node(tree, policy, a, &mut out),
-                    Task::Pair(a, b) => collect_pair(tree, policy, a, b, &mut out),
-                }
-                out
+                wspd_resume(
+                    tree,
+                    policy,
+                    &[task],
+                    &|_| Step::Expand,
+                    &|_, _| Step::Expand,
+                    &Some,
+                )
+                .iter()
+                .map(|s| {
+                    let (a, b) = s.nodes();
+                    (a.min(b), a.max(b))
+                })
+                .collect()
             })
             .collect()
     };
+    // A task's output grows with the points it covers, so waves are cut by
+    // points. One thread gains nothing from the overlap, so there every
+    // task is its own wave. The stream does not depend on where waves are
+    // cut.
+    let total: usize = tasks.iter().map(|t| t.points(tree)).sum();
+    let budget = (rayon::current_num_threads() - 1) * total / WAVES;
+    let mut points = 0;
+    let mut waves = tasks.split_inclusive(|t| {
+        points += t.points(tree);
+        let cut = points >= budget;
+        if cut {
+            points = 0;
+        }
+        cut
+    });
 
-    let mut chunks = tasks.chunks(wave);
-    let mut current = chunks.next().map(produce);
+    let mut batch: Vec<NodePair> = Vec::with_capacity(cap.min(1 << 20));
+    let mut current = waves.next().map(produce);
     while let Some(produced) = current {
-        let next_chunk = chunks.next();
+        let next_wave = waves.next();
         // Overlap: drain wave k into batches (and the consumer) while the
-        // pool enumerates wave k+1.
+        // pool walks wave k+1.
         let ((), next) = rayon::join(
             || {
-                for run in produced {
-                    pending.extend(run);
-                }
-                while pending.len() >= cap {
-                    batch.extend(pending.drain(..cap));
-                    on_batch(&mut batch);
-                    batch.clear();
+                for pair in produced.into_iter().flatten() {
+                    batch.push(pair);
+                    if batch.len() >= cap {
+                        on_batch(&mut batch);
+                        batch.clear();
+                    }
                 }
             },
-            || next_chunk.map(produce),
+            || next_wave.map(produce),
         );
         current = next;
     }
-    if !pending.is_empty() {
-        batch.extend(pending.drain(..));
+    if !batch.is_empty() {
         on_batch(&mut batch);
         batch.clear();
     }
 }
 
-/// Split the canonical DFS recursion into a task list whose concatenated
-/// outputs reproduce the sequential pair sequence exactly. Rounds of
-/// in-order expansion (see [`Task`]) stop at [`TASK_TARGET`] tasks or when
-/// every task is terminal/below [`TASK_GRAIN`].
-fn expand_tasks<const D: usize, P>(tree: &KdTree<D>, policy: &P) -> Vec<Task>
-where
-    P: SeparationPolicy<D>,
-{
-    let mut tasks = vec![Task::Node(tree.root())];
-    loop {
-        if tasks.len() >= TASK_TARGET {
-            return tasks;
-        }
-        let mut next = Vec::with_capacity(tasks.len() * 3);
-        let mut changed = false;
-        for &task in &tasks {
-            match task {
-                Task::Node(a) => {
-                    if tree.is_leaf(a) {
-                        changed = true; // drop: a leaf emits nothing
-                    } else if tree.node_size(a) < TASK_GRAIN {
-                        next.push(task);
-                    } else {
-                        let (l, r) = tree.children(a);
-                        next.push(Task::Node(l));
-                        next.push(Task::Node(r));
-                        next.push(Task::Pair(l, r));
-                        changed = true;
-                    }
-                }
-                Task::Pair(a, b) => {
-                    if policy.well_separated(tree, a, b) {
-                        next.push(task); // terminal: emits exactly one pair
-                    } else if tree.node_size(a) + tree.node_size(b) < TASK_GRAIN {
-                        next.push(task);
-                    } else {
-                        let (s, o) = crate::traverse::split_order(tree, a, b);
-                        let (l, r) = tree.children(s);
-                        next.push(Task::Pair(l, o));
-                        next.push(Task::Pair(r, o));
-                        changed = true;
-                    }
-                }
-            }
-        }
-        tasks = next;
-        if !changed {
-            return tasks;
-        }
-    }
-}
-
-/// Sequential enumeration of one `Node` task (no cap handling — the drain
-/// stage owns batching).
-fn collect_node<const D: usize, P>(tree: &KdTree<D>, policy: &P, a: NodeId, out: &mut Vec<NodePair>)
-where
-    P: SeparationPolicy<D>,
-{
-    if tree.is_leaf(a) {
-        return;
-    }
-    let (l, r) = tree.children(a);
-    collect_node(tree, policy, l, out);
-    collect_node(tree, policy, r, out);
-    collect_pair(tree, policy, l, r, out);
-}
-
-/// Sequential enumeration of one `Pair` task.
-fn collect_pair<const D: usize, P>(
+/// The producer's tasks in stream order: the states one walk from the root
+/// keeps below `PAIR_GRAIN` points, and the well-separated pairs it reaches
+/// above it.
+fn task_list<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
-    a: NodeId,
-    b: NodeId,
-    out: &mut Vec<NodePair>,
-) where
-    P: SeparationPolicy<D>,
-{
-    if policy.well_separated(tree, a, b) {
-        out.push(if a < b { (a, b) } else { (b, a) });
-        return;
-    }
-    let (a, b) = crate::traverse::split_order(tree, a, b);
-    debug_assert!(
-        !tree.is_leaf(a),
-        "two leaves are always well-separated; cannot split a singleton"
+) -> Vec<OpenState> {
+    let keep_below_grain = |points: usize| {
+        if points < PAIR_GRAIN {
+            Step::Keep
+        } else {
+            Step::Expand
+        }
+    };
+    let mut tasks = wspd_resume(
+        tree,
+        policy,
+        &[OpenState::node(tree.root())],
+        &|a| keep_below_grain(tree.node_size(a)),
+        &|a, b| keep_below_grain(tree.node_size(a) + tree.node_size(b)),
+        &Some,
     );
-    let (l, r) = tree.children(a);
-    collect_pair(tree, policy, l, b, out);
-    collect_pair(tree, policy, r, b, out);
+    tasks.sort_unstable_by_key(|s| {
+        let span = s.span(tree);
+        (span.end, span.end - span.start, *s)
+    });
+    tasks
 }
 
 #[cfg(test)]
@@ -382,13 +235,13 @@ mod tests {
         assert_eq!(runs[0], runs[1], "batch boundaries must be reproducible");
     }
 
-    /// The tentpole contract: the parallel producer (explicit pools of
-    /// width 2/4/8, input above `PAR_STREAM_CUTOFF`) must deliver batches
-    /// that are element-for-element identical — contents *and* boundaries —
-    /// to the width-1 sequential batcher, for caps straddling the wave size.
+    /// The producer's contract: pools of width 2/4/8, on input above
+    /// `PAIR_GRAIN`, deliver batches that are element-for-element identical
+    /// — contents *and* boundaries — to a width-1 pool's, for caps
+    /// straddling the wave size.
     #[test]
     fn parallel_batches_identical_to_sequential_across_widths() {
-        let pts = random_points::<2>(PAR_STREAM_CUTOFF * 2, 5);
+        let pts = random_points::<2>(4096, 5);
         let tree = KdTree::build(&pts);
         let in_pool = |threads: usize, cap: usize| -> Vec<Vec<NodePair>> {
             rayon::ThreadPoolBuilder::new()
@@ -413,6 +266,75 @@ mod tests {
                 let got = in_pool(threads, cap);
                 assert_eq!(
                     got, baseline,
+                    "cap={cap}: batches differ at {threads} threads"
+                );
+            }
+        }
+    }
+
+    /// Two 13×13×13 integer grids far apart, every 7th point doubled: the
+    /// grids tie on diameters everywhere, each holds more than `PAIR_GRAIN`
+    /// points, and the pair joining them is well-separated above it.
+    fn twin_grids_with_duplicates() -> Vec<Point<3>> {
+        let mut pts = Vec::new();
+        for off in [0.0, 1000.0] {
+            for i in 0..13 {
+                for j in 0..13 {
+                    for k in 0..13 {
+                        pts.push(Point([off + i as f64, j as f64, k as f64]));
+                    }
+                }
+            }
+        }
+        let dups: Vec<Point<3>> = pts.iter().step_by(7).copied().collect();
+        pts.extend(dups);
+        pts
+    }
+
+    #[test]
+    fn tie_heavy_grid_batches_identical_across_widths() {
+        let pts = twin_grids_with_duplicates();
+        let tree = KdTree::build(&pts);
+        let policy = GeometricSep::PAPER_DEFAULT;
+        let tasks = task_list(&tree, &policy);
+        let size = |s: &OpenState| {
+            let (a, b) = s.nodes();
+            tree.node_size(a) + tree.node_size(b)
+        };
+        let is_node = |s: &OpenState| *s == OpenState::node(s.nodes().0);
+        assert!(tasks.iter().any(is_node), "no kept node");
+        assert!(
+            tasks.iter().any(|s| !is_node(s) && size(s) < PAIR_GRAIN),
+            "no kept pair"
+        );
+        assert!(
+            tasks.iter().any(|s| !is_node(s) && size(s) >= PAIR_GRAIN),
+            "no one-pair task"
+        );
+
+        let in_pool = |threads: usize, cap: usize| -> Vec<Vec<NodePair>> {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool")
+                .install(|| {
+                    let mut batches = Vec::new();
+                    wspd_stream_batches(&tree, &policy, cap, &mut |b: &mut Vec<NodePair>| {
+                        batches.push(b.clone())
+                    });
+                    batches
+                })
+        };
+        let want = wspd_materialize(&tree, &policy);
+        for cap in [61usize, 5000] {
+            let baseline = in_pool(1, cap);
+            let mut all: Vec<NodePair> = baseline.concat();
+            all.sort_unstable();
+            assert_eq!(all, want, "cap={cap}: not the materialized pair set");
+            for threads in [2usize, 4, 8] {
+                assert_eq!(
+                    in_pool(threads, cap),
+                    baseline,
                     "cap={cap}: batches differ at {threads} threads"
                 );
             }

@@ -7,15 +7,17 @@
 //!
 //! [`wspd_resume`] runs that recursion from a *frontier*: a list of open
 //! states ([`OpenState`]) instead of the root alone. Three hooks steer it.
-//! A node hook can skip a whole self-recursion. A `step` hook, evaluated on
-//! every `FindPair` entry, drops the pair *and all of its descendant
-//! pairs*, keeps it unexpanded for the next frontier, or expands it. The
-//! visit hook sees each well-separated pair reached and may keep it too,
-//! carrying its BCCP endpoints. Kept states come back as the next frontier.
-//! MemoGFK (Section 3.1.3) is built on it: each round's `GetRho` and
-//! `GetPairs` walk only the frontier the previous `GetPairs` left, never
-//! the whole tree again. [`wspd_traverse`] is the one-shot walk from the
-//! root.
+//! Two of them return a [`Step`]: the node hook, evaluated on every
+//! `WSPD(A)` entry, and the pair hook, evaluated on every `FindPair`
+//! entry. Each drops the state *and everything below it*, keeps it
+//! unexpanded for the next frontier, or expands it. The visit hook sees
+//! each well-separated pair reached and may keep it too, carrying its BCCP
+//! endpoints. Kept states come back as the next frontier. MemoGFK (Section
+//! 3.1.3) is built on it: each round's `GetRho` and `GetPairs` walk only
+//! the frontier the previous `GetPairs` left, never the whole tree again.
+//! The streaming batcher ([`crate::wspd_stream_batches`]) keeps every
+//! state below `PAIR_GRAIN` points as a task and walks each task on its own.
+//! [`wspd_traverse`] is the one-shot walk from the root.
 
 use parclust_kdtree::{KdTree, NodeId};
 use parclust_primitives::collector::Collector;
@@ -26,8 +28,14 @@ use crate::policy::SeparationPolicy;
 /// A well-separated pair of kd-tree nodes.
 pub type NodePair = (NodeId, NodeId);
 
-/// Below this combined size, `FindPair` recursion stays sequential.
-const PAIR_GRAIN: usize = 2048;
+/// Below this combined size, `WSPD(A)` and `FindPair` recursion stays
+/// sequential.
+pub(crate) const PAIR_GRAIN: usize = 2048;
+
+/// Frontier states walked as one sequential run: enough to amortize
+/// handing the run's kept states to the shared collector, few enough that
+/// a short frontier still spreads over the pool.
+const RUN_STATES: usize = 16;
 
 /// Marks an absent field of an [`OpenState`].
 const NONE: u32 = u32::MAX;
@@ -39,7 +47,7 @@ const NONE: u32 = u32::MAX;
 /// * `u`, `v` absent — the unexpanded pair `FindPair(a, b)`;
 /// * all present — the well-separated pair `(a, b)` with its BCCP
 ///   endpoints `(u, v)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct OpenState {
     a: NodeId,
     b: NodeId,
@@ -74,9 +82,26 @@ impl OpenState {
     }
 
     /// The pair's two nodes. Not meaningful for a node state, which no
-    /// hook ever sees.
+    /// pair or visit hook ever sees.
     pub fn nodes(&self) -> NodePair {
         (self.a, self.b)
+    }
+
+    /// The number of points the state's nodes cover.
+    pub(crate) fn points<const D: usize>(&self, tree: &KdTree<D>) -> usize {
+        if self.b == NONE {
+            tree.node_size(self.a)
+        } else {
+            tree.node_size(self.a) + tree.node_size(self.b)
+        }
+    }
+
+    /// The permuted positions `start..end` the state's nodes cover, from
+    /// the first node's start to the last node's end.
+    pub(crate) fn span<const D: usize>(&self, tree: &KdTree<D>) -> std::ops::Range<u32> {
+        let b = if self.b == NONE { self.a } else { self.b };
+        let start = tree.node_start(self.a).min(tree.node_start(b));
+        start..tree.node_end(self.a).max(tree.node_end(b))
     }
 
     /// The carried BCCP endpoints, if this is a separated pair.
@@ -85,14 +110,15 @@ impl OpenState {
     }
 }
 
-/// What a resumable traversal does with a pair state.
+/// What a resumable traversal does with a node or pair state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// Abandon the pair and all of its descendant pairs.
+    /// Abandon the state and all of its descendant states.
     Drop,
-    /// Stop here and hand the pair to the next frontier as it is.
+    /// Stop here and hand the state to the next frontier as it is.
     Keep,
-    /// Visit the pair if it is well-separated, split it otherwise.
+    /// Recurse into a node's children; visit a pair if it is
+    /// well-separated, split it otherwise.
     Expand,
 }
 
@@ -111,7 +137,7 @@ where
             tree,
             policy,
             &[OpenState::node(tree.root())],
-            &|_| false,
+            &|_| Step::Expand,
             &|a, b| {
                 if prune(a, b) {
                     Step::Drop
@@ -130,24 +156,27 @@ where
 
 /// Resume Algorithm 1 from `frontier` and return the next frontier.
 ///
-/// A node state is skipped when it is a leaf or `skip_node` returns true.
-/// Every pair state, carried or reached, goes through `step` first. An
-/// expanded pair that is well-separated — or a carried separated pair — is
-/// handed to `visit`, which returns the state to keep, if any. Everything
-/// kept by `step` or `visit` makes up the returned frontier, whose order
-/// depends on scheduling. The frontier's states are never ancestors of one
-/// another, so no pair is reached twice.
+/// A leaf's node state is skipped; every other node state, carried or
+/// reached, goes through `node_step` first, and every pair state through
+/// `step`. An expanded pair that is well-separated — or a carried
+/// separated pair — is handed to `visit`, which returns the state to keep,
+/// if any. Everything kept by a hook makes up the returned frontier, whose
+/// order depends on scheduling across states. A frontier of one state whose
+/// nodes cover fewer than `PAIR_GRAIN` (2048) points is walked on the
+/// calling thread, and its kept states come back in depth-first order. The
+/// frontier's states are never ancestors of one another, so no pair is
+/// reached twice.
 pub fn wspd_resume<const D: usize, P, N, S, V>(
     tree: &KdTree<D>,
     policy: &P,
     frontier: &[OpenState],
-    skip_node: &N,
+    node_step: &N,
     step: &S,
     visit: &V,
 ) -> Vec<OpenState>
 where
     P: SeparationPolicy<D>,
-    N: Fn(NodeId) -> bool + Sync,
+    N: Fn(NodeId) -> Step + Sync,
     S: Fn(NodeId, NodeId) -> Step + Sync,
     V: Fn(OpenState) -> Option<OpenState> + Sync,
 {
@@ -155,12 +184,14 @@ where
     let walk = Walk {
         tree,
         policy,
-        skip_node,
+        node_step,
         step,
         visit,
         next: &next,
     };
-    frontier.par_iter().for_each(|&s| walk.state(s));
+    frontier
+        .par_chunks(RUN_STATES)
+        .for_each(|chunk| walk.flushed(|out| chunk.iter().for_each(|&s| walk.state(s, out))));
     next.into_vec()
 }
 
@@ -168,66 +199,90 @@ where
 struct Walk<'a, const D: usize, P, N, S, V> {
     tree: &'a KdTree<D>,
     policy: &'a P,
-    skip_node: &'a N,
+    node_step: &'a N,
     step: &'a S,
     visit: &'a V,
     next: &'a Collector<OpenState>,
 }
 
+/// Kept states go to a plain `Vec` owned by the current sequential run of
+/// the recursion; each run hands its states to the shared [`Collector`] in
+/// one call when it ends. So a walk below the grain keeps its states in
+/// depth-first order and takes no lock per state.
 impl<const D: usize, P, N, S, V> Walk<'_, D, P, N, S, V>
 where
     P: SeparationPolicy<D>,
-    N: Fn(NodeId) -> bool + Sync,
+    N: Fn(NodeId) -> Step + Sync,
     S: Fn(NodeId, NodeId) -> Step + Sync,
     V: Fn(OpenState) -> Option<OpenState> + Sync,
 {
-    fn state(&self, s: OpenState) {
+    /// Run `f` as its own sequential run, with a fresh output buffer.
+    fn flushed(&self, f: impl FnOnce(&mut Vec<OpenState>)) {
+        let mut out = Vec::new();
+        f(&mut out);
+        if !out.is_empty() {
+            self.next.extend(out);
+        }
+    }
+
+    fn state(&self, s: OpenState, out: &mut Vec<OpenState>) {
         if s.b == NONE {
-            self.node(s.a);
+            self.node(s.a, out);
         } else if s.u == NONE {
-            self.find_pair(s.a, s.b);
+            self.find_pair(s.a, s.b, out);
         } else {
             match (self.step)(s.a, s.b) {
                 Step::Drop => {}
-                Step::Keep => self.next.push(s),
-                Step::Expand => self.visit(s),
+                Step::Keep => out.push(s),
+                Step::Expand => self.visit(s, out),
             }
         }
     }
 
-    fn visit(&self, s: OpenState) {
+    fn visit(&self, s: OpenState, out: &mut Vec<OpenState>) {
         if let Some(kept) = (self.visit)(s) {
-            self.next.push(kept);
+            out.push(kept);
         }
     }
 
-    fn node(&self, a: NodeId) {
+    fn node(&self, a: NodeId, out: &mut Vec<OpenState>) {
         let tree = self.tree;
-        if tree.is_leaf(a) || (self.skip_node)(a) {
+        if tree.is_leaf(a) {
             return;
+        }
+        match (self.node_step)(a) {
+            Step::Drop => return,
+            Step::Keep => {
+                out.push(OpenState::node(a));
+                return;
+            }
+            Step::Expand => {}
         }
         let (l, r) = tree.children(a);
         if tree.node_size(a) >= PAIR_GRAIN {
-            rayon::join(|| self.node(l), || self.node(r));
+            rayon::join(
+                || self.flushed(|o| self.node(l, o)),
+                || self.flushed(|o| self.node(r, o)),
+            );
         } else {
-            self.node(l);
-            self.node(r);
+            self.node(l, out);
+            self.node(r, out);
         }
-        self.find_pair(l, r);
+        self.find_pair(l, r, out);
     }
 
-    fn find_pair(&self, a: NodeId, b: NodeId) {
+    fn find_pair(&self, a: NodeId, b: NodeId, out: &mut Vec<OpenState>) {
         match (self.step)(a, b) {
             Step::Drop => return,
             Step::Keep => {
-                self.next.push(OpenState::pair(a, b));
+                out.push(OpenState::pair(a, b));
                 return;
             }
             Step::Expand => {}
         }
         let tree = self.tree;
         if self.policy.well_separated(tree, a, b) {
-            self.visit(OpenState::pair(a, b));
+            self.visit(OpenState::pair(a, b), out);
             return;
         }
         let (a, b) = split_order(tree, a, b);
@@ -237,10 +292,13 @@ where
         );
         let (l, r) = tree.children(a);
         if tree.node_size(a) + tree.node_size(b) >= PAIR_GRAIN {
-            rayon::join(|| self.find_pair(l, b), || self.find_pair(r, b));
+            rayon::join(
+                || self.flushed(|o| self.find_pair(l, b, o)),
+                || self.flushed(|o| self.find_pair(r, b, o)),
+            );
         } else {
-            self.find_pair(l, b);
-            self.find_pair(r, b);
+            self.find_pair(l, b, out);
+            self.find_pair(r, b, out);
         }
     }
 }
@@ -248,14 +306,8 @@ where
 /// Choose which node of a non-well-separated pair to split (Algorithm 1
 /// line 8): the one with the larger bounding sphere, breaking diameter
 /// ties toward the larger node so a leaf is never chosen while its partner
-/// is splittable. Returns `(split, other)`. Shared by the recursive
-/// traversal and the streaming batcher — the streamed pair set is only
-/// guaranteed to match the materialized one while both use this rule.
-pub(crate) fn split_order<const D: usize>(
-    tree: &KdTree<D>,
-    a: NodeId,
-    b: NodeId,
-) -> (NodeId, NodeId) {
+/// is splittable. Returns `(split, other)`.
+fn split_order<const D: usize>(tree: &KdTree<D>, a: NodeId, b: NodeId) -> (NodeId, NodeId) {
     let (da, db) = (tree.bbox(a).diag_sq(), tree.bbox(b).diag_sq());
     if da < db || (da == db && tree.node_size(a) < tree.node_size(b)) {
         (b, a)
@@ -410,8 +462,9 @@ mod tests {
     }
 
     /// Stopping a walk part-way and resuming it from the returned frontier
-    /// reaches exactly the pairs of the one-shot walk, each once, and hands
-    /// back carried endpoints untouched.
+    /// of kept node, pair and separated states reaches exactly the pairs of
+    /// the one-shot walk, each once (the comparison is against a list with
+    /// no duplicates), and hands back carried endpoints untouched.
     #[test]
     fn resumed_walk_matches_one_shot() {
         let pts = random_points::<2>(3000, 13);
@@ -428,7 +481,13 @@ mod tests {
             &tree,
             &policy,
             &[OpenState::node(tree.root())],
-            &|_| false,
+            &|a| {
+                if tree.node_size(a) <= 48 {
+                    Step::Keep
+                } else {
+                    Step::Expand
+                }
+            },
             &|a, b| {
                 if card(a, b) > 64 {
                     Step::Keep
@@ -446,13 +505,14 @@ mod tests {
                 None
             },
         );
+        assert!(frontier.iter().any(|s| s.b == NONE), "no kept node");
+        assert!(frontier.iter().any(|s| s.b != NONE && s.u == NONE));
         assert!(frontier.iter().any(|s| s.endpoints().is_some()));
-        assert!(frontier.iter().any(|s| s.endpoints().is_none()));
         let rest = wspd_resume(
             &tree,
             &policy,
             &frontier,
-            &|_| false,
+            &|_| Step::Expand,
             &|_, _| Step::Expand,
             &|s| {
                 if let Some(uv) = s.endpoints() {

@@ -203,13 +203,6 @@ impl<P: Producer> Par<P> {
         self
     }
 
-    /// Accepted for API compatibility; the fixed [`MAX_LEAVES`] fan-out
-    /// already bounds leaf sizes from above.
-    #[inline]
-    pub fn with_max_len(self, _max: usize) -> Self {
-        self
-    }
-
     // ---- parallel terminal ops ------------------------------------------
 
     pub fn for_each<F>(self, f: F)
@@ -251,18 +244,6 @@ impl<P: Producer> Par<P> {
         count_rec(self.producer, leaf)
     }
 
-    pub fn min_by<F>(self, f: F) -> Option<P::Item>
-    where
-        F: Fn(&P::Item, &P::Item) -> CmpOrdering + Send + Sync,
-    {
-        let leaf = leaf_size(self.producer.len(), self.min_len);
-        // Keep the left candidate on ties, matching `Iterator::min_by`'s
-        // first-wins semantics over the in-order tree.
-        select_rec(self.producer, leaf, &|a, b| {
-            matches!(f(b, a), CmpOrdering::Less)
-        })
-    }
-
     pub fn max_by<F>(self, f: F) -> Option<P::Item>
     where
         F: Fn(&P::Item, &P::Item) -> CmpOrdering + Send + Sync,
@@ -272,15 +253,6 @@ impl<P: Producer> Par<P> {
         select_rec(self.producer, leaf, &|a, b| {
             !matches!(f(b, a), CmpOrdering::Less)
         })
-    }
-
-    pub fn min_by_key<K, F>(self, f: F) -> Option<P::Item>
-    where
-        K: Ord,
-        F: Fn(&P::Item) -> K + Send + Sync,
-    {
-        let leaf = leaf_size(self.producer.len(), self.min_len);
-        select_rec(self.producer, leaf, &|a, b| f(b) < f(a))
     }
 
     pub fn max_by_key<K, F>(self, f: F) -> Option<P::Item>
@@ -295,8 +267,7 @@ impl<P: Producer> Par<P> {
     // ---- sequential terminal ops ----------------------------------------
     //
     // Short-circuiting searches: evaluated in order on the calling thread
-    // (they are off every hot path in this workspace, and sequential
-    // evaluation keeps `position_any` indices exact).
+    // (they are off every hot path in this workspace).
 
     pub fn any<F: FnMut(P::Item) -> bool>(self, f: F) -> bool {
         let mut f = f;
@@ -306,18 +277,6 @@ impl<P: Producer> Par<P> {
     pub fn all<F: FnMut(P::Item) -> bool>(self, f: F) -> bool {
         let mut f = f;
         self.producer.into_iter().all(&mut f)
-    }
-
-    /// Rayon's `find_any`: any matching element is acceptable; the shim
-    /// returns the first.
-    pub fn find_any<F: FnMut(&P::Item) -> bool>(self, f: F) -> Option<P::Item> {
-        let mut f = f;
-        self.producer.into_iter().find(|x| f(x))
-    }
-
-    pub fn position_any<F: FnMut(P::Item) -> bool>(self, f: F) -> Option<usize> {
-        let mut f = f;
-        self.producer.into_iter().position(&mut f)
     }
 }
 
@@ -1042,40 +1001,6 @@ impl<'a, T: Send> Producer for ChunksMutP<'a, T> {
     }
 }
 
-pub struct WindowsP<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> Producer for WindowsP<'a, T> {
-    type Item = &'a [T];
-    type IntoIter = std::slice::Windows<'a, T>;
-    const EXACT: bool = true;
-
-    fn len(&self) -> usize {
-        self.slice.len().saturating_sub(self.size - 1)
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        // Window i covers slice[i..i + size); the left part needs elements
-        // up to index + size - 1, the right part starts at element index.
-        (
-            WindowsP {
-                slice: &self.slice[..index + self.size - 1],
-                size: self.size,
-            },
-            WindowsP {
-                slice: &self.slice[index..],
-                size: self.size,
-            },
-        )
-    }
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.slice.windows(self.size)
-    }
-}
-
 /// Integer types usable as parallel range endpoints.
 pub trait RangeInt: Copy + Send + Sized {
     fn offset(self, n: usize) -> Self;
@@ -1376,7 +1301,6 @@ impl<'data, T: Send + 'data> IntoParallelRefMutIterator<'data> for Vec<T> {
 /// Chunked views of slices, rayon-style.
 pub trait ParallelSlice<T: Sync> {
     fn par_chunks(&self, chunk_size: usize) -> Par<ChunksP<'_, T>>;
-    fn par_windows(&self, window_size: usize) -> Par<WindowsP<'_, T>>;
 }
 
 impl<T: Sync> ParallelSlice<T> for [T] {
@@ -1387,57 +1311,19 @@ impl<T: Sync> ParallelSlice<T> for [T] {
             size: chunk_size,
         })
     }
-
-    fn par_windows(&self, window_size: usize) -> Par<WindowsP<'_, T>> {
-        assert!(window_size > 0, "window size must be positive");
-        Par::new(WindowsP {
-            slice: self,
-            size: window_size,
-        })
-    }
 }
 
-/// Mutable chunked views and the parallel sort family, rayon-style.
+/// Mutable chunked views and the parallel sort, rayon-style.
 pub trait ParallelSliceMut<T: Send> {
     fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<ChunksMutP<'_, T>>;
-    fn par_sort(&mut self)
-    where
-        T: Ord;
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord;
-    fn par_sort_by<F: Fn(&T, &T) -> CmpOrdering + Sync>(&mut self, compare: F);
     fn par_sort_unstable_by<F: Fn(&T, &T) -> CmpOrdering + Sync>(&mut self, compare: F);
-    fn par_sort_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F);
-    fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F);
 }
 
-/// Sequential cutoff and fixed chunk width for the parallel sorts. The
+/// Sequential cutoff and fixed chunk width for the parallel sort. The
 /// chunk width is constant (not worker-count-derived) so the pre-sorted
 /// runs — and hence the full output permutation even under non-total
 /// comparators — are identical at every thread count.
 const SORT_CHUNK: usize = 16 * 1024;
-
-/// Parallel sort: pre-sort fixed-width disjoint chunks in parallel, then
-/// let `slice::sort_by` (a run-detecting stable mergesort) merge the sorted
-/// runs — the comparison-heavy O(n log n) phase parallelizes, the merge
-/// pass is O(n log k) over k runs. No unsafe, panic-safe, and stable
-/// whenever `chunk_sort` is.
-fn par_sort_impl<T: Send, F>(data: &mut [T], compare: &F, stable_chunks: bool)
-where
-    F: Fn(&T, &T) -> CmpOrdering + Sync,
-{
-    if data.len() > 2 * SORT_CHUNK {
-        data.par_chunks_mut(SORT_CHUNK).for_each(|chunk| {
-            if stable_chunks {
-                chunk.sort_by(compare);
-            } else {
-                chunk.sort_unstable_by(compare);
-            }
-        });
-    }
-    data.sort_by(compare);
-}
 
 impl<T: Send> ParallelSliceMut<T> for [T] {
     fn par_chunks_mut(&mut self, chunk_size: usize) -> Par<ChunksMutP<'_, T>> {
@@ -1448,34 +1334,16 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
         })
     }
 
-    fn par_sort(&mut self)
-    where
-        T: Ord,
-    {
-        par_sort_impl(self, &T::cmp, true);
-    }
-
-    fn par_sort_unstable(&mut self)
-    where
-        T: Ord,
-    {
-        par_sort_impl(self, &T::cmp, false);
-    }
-
-    fn par_sort_by<F: Fn(&T, &T) -> CmpOrdering + Sync>(&mut self, compare: F) {
-        par_sort_impl(self, &compare, true);
-    }
-
+    /// Pre-sort fixed-width disjoint chunks in parallel, then let
+    /// `slice::sort_by` (a run-detecting stable mergesort) merge the sorted
+    /// runs: the comparison-heavy O(n log n) phase parallelizes, the merge
+    /// pass is O(n log k) over k runs. No unsafe, and panic-safe.
     fn par_sort_unstable_by<F: Fn(&T, &T) -> CmpOrdering + Sync>(&mut self, compare: F) {
-        par_sort_impl(self, &compare, false);
-    }
-
-    fn par_sort_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F) {
-        par_sort_impl(self, &|a, b| key(a).cmp(&key(b)), true);
-    }
-
-    fn par_sort_unstable_by_key<K: Ord, F: Fn(&T) -> K + Sync>(&mut self, key: F) {
-        par_sort_impl(self, &|a, b| key(a).cmp(&key(b)), false);
+        if self.len() > 2 * SORT_CHUNK {
+            self.par_chunks_mut(SORT_CHUNK)
+                .for_each(|chunk| chunk.sort_unstable_by(&compare));
+        }
+        self.sort_by(compare);
     }
 }
 
@@ -1581,19 +1449,9 @@ mod tests {
     fn min_max_match_sequential_semantics() {
         let xs: Vec<i64> = (0..30_000).map(|i| (i * 48271) % 257 - 128).collect();
         assert_eq!(
-            xs.par_iter().min_by(|a, b| a.cmp(b)).copied(),
-            xs.iter().min().copied()
-        );
-        assert_eq!(
             xs.par_iter().max_by(|a, b| a.cmp(b)).copied(),
             xs.iter().max().copied()
         );
-        assert_eq!(
-            xs.par_iter().min_by_key(|&&x| x.abs()).map(|&x| x.abs()),
-            xs.iter().map(|x| x.abs()).min()
-        );
-        let empty: Vec<i64> = Vec::new();
-        assert_eq!(empty.par_iter().min_by(|a, b| a.cmp(b)), None);
     }
 
     #[test]
@@ -1667,16 +1525,9 @@ mod tests {
         let xs: Vec<u64> = (0..150_000).map(|i| (i * 2654435761) % 10_000).collect();
         let mut a = xs.clone();
         let mut b = xs.clone();
-        a.par_sort_unstable();
+        a.par_sort_unstable_by(u64::cmp);
         b.sort_unstable();
         assert_eq!(a, b);
-
-        let mut c: Vec<(u64, usize)> = xs.iter().copied().zip(0..).collect();
-        let mut d = c.clone();
-        // Stable sort on a non-total key: ties must keep input order.
-        c.par_sort_by_key(|&(x, _)| x);
-        d.sort_by_key(|&(x, _)| x);
-        assert_eq!(c, d);
     }
 
     #[test]
@@ -1733,16 +1584,5 @@ mod tests {
         // finite and close. (Equality across *thread counts* is what the
         // determinism tests pin; min_len is part of the tree shape.)
         assert!((plain - hinted).abs() < 1e-6 * plain.abs());
-    }
-
-    #[test]
-    fn windows_producer() {
-        let xs: Vec<u32> = (0..10_000).collect();
-        let sums: Vec<u32> = xs.par_windows(3).map(|w| w.iter().sum()).collect();
-        assert_eq!(sums.len(), 9_998);
-        assert!(sums
-            .iter()
-            .enumerate()
-            .all(|(i, &s)| s == (3 * i + 3) as u32));
     }
 }

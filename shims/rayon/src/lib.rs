@@ -17,7 +17,7 @@
 //!   thread count and no per-call spawning or locking.
 //! * The parallel-iterator surface ([`prelude`]) is built on splittable
 //!   producers: terminal ops (`for_each`, `collect`, `reduce`, `sum`,
-//!   `count`, `min_by`/`max_by`) recursively split their input and dispatch
+//!   `count`, `max_by`) recursively split their input and dispatch
 //!   halves through [`join`], honoring `with_min_len` granularity hints.
 //!   The split tree depends only on the input length and the hint — never on
 //!   the worker count — so results are **bit-identical across thread
@@ -719,6 +719,13 @@ mod tests {
     fn pool_metrics_count_jobs_and_injections() {
         let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         assert_eq!(pool.metrics().workers.len(), 4);
+        // Fresh workers park once they find no work, but not necessarily
+        // before `install` hands them some: wait (bounded) for the first
+        // park so the idle assertion below does not race the spawn.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while pool.metrics().total_parks() == 0 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         let sum = pool.install(|| {
             (0..10_000u64)
                 .into_par_iter()

@@ -121,7 +121,8 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
 }
 
 fn points() -> Vec<Point<2>> {
-    // Above the streaming driver's parallel-enumeration cutoff.
+    // Above the WSPD's 2048-point grain, so the streaming driver splits
+    // its walk into several tasks.
     seed_spreader(3000, 41)
 }
 
