@@ -931,9 +931,9 @@ fn extraction(opts: &Opts, report: &mut Report) {
     }
 }
 
-/// Scale experiment (beyond the laptop-class tables): out-of-core
-/// ingestion + streaming EMST on a multi-million-point input under a
-/// bounded working set, with peak RSS recorded next to the timings.
+/// Scale experiment (beyond the laptop-class tables): chunked-file
+/// ingestion + MemoGFK EMST on a multi-million-point input, with peak RSS
+/// recorded next to the timings and checked against `--max-memory`.
 ///
 /// Input resolution: `--points-file` (any dimensionality in the chunked
 /// `PCLS` format) or, by default, `2M × --scale` generated
@@ -945,7 +945,7 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
     use parclust_data::io::{chunked_header, ChunkedWriter};
 
     say!(
-        "\n=== Scale: out-of-core ingestion + streaming EMST (max-memory {}) ===",
+        "\n=== Scale: chunked-file ingestion + MemoGFK EMST (max-memory {}) ===",
         fmt_bytes(opts.max_memory)
     );
     std::fs::create_dir_all(&opts.out_dir)
@@ -994,10 +994,9 @@ fn scale_experiment(opts: &Opts, report: &mut Report) -> bool {
 }
 
 fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut Report) -> bool {
-    use parclust_bench::memory::{fmt_bytes, peak_rss_bytes, MemoryBudget};
+    use parclust_bench::memory::{fmt_bytes, peak_rss_bytes};
 
     let max_t = *thread_counts().last().unwrap();
-    let budget = MemoryBudget::new(opts.max_memory);
 
     let t0 = std::time::Instant::now();
     let pts = parclust_data::read_chunked::<D>(path)
@@ -1005,43 +1004,30 @@ fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut R
     let ingest_secs = t0.elapsed().as_secs_f64();
 
     let n = pts.len();
-    let cap = budget.batch_cap(n, D);
-    let fixed = budget.fixed_bytes(n, D);
-    if fixed >= opts.max_memory {
-        eprintln!(
-            "warning: estimated fixed cost {} of {n} points exceeds --max-memory {} — \
-             batches stay bounded at the floor, but the bound cannot hold",
-            fmt_bytes(fixed),
-            fmt_bytes(opts.max_memory)
-        );
-    }
-    say!(
-        "streaming EMST: n={n} dims={D} batch-cap={cap} pairs (fixed est. {})",
-        fmt_bytes(fixed)
-    );
+    say!("MemoGFK EMST: n={n} dims={D}");
 
-    let (stats, secs, pool) = best_time_with_metrics(max_t, opts.reps, || {
-        parclust::emst_streaming(&pts, cap).stats
-    });
+    let (stats, secs, pool) = best_time_with_metrics(max_t, opts.reps, || emst_memogfk(&pts).stats);
     let rss = peak_rss_bytes();
     let within = rss.map(|r| r <= opts.max_memory);
     say!(
-        "{:<22} {:>10} {:>12} {:>10} {:>12} {:>14} {:>12}",
+        "{:<22} {:>10} {:>12} {:>8} {:>12} {:>14} {:>14} {:>12}",
         "dataset",
         "ingest(s)",
         "emst(s)",
-        "batches",
+        "rounds",
         "peak pairs",
+        "peak frontier",
         "peak RSS",
         "in budget"
     );
     say!(
-        "{:<22} {:>10.2} {:>12} {:>10} {:>12} {:>14} {:>12}",
+        "{:<22} {:>10.2} {:>12} {:>8} {:>12} {:>14} {:>14} {:>12}",
         format!("{D}D-file"),
         ingest_secs,
         fmt_secs(secs),
         stats.rounds,
         stats.peak_live_pairs,
+        stats.peak_frontier,
         rss.map(fmt_bytes).unwrap_or_else(|| "n/a".into()),
         match within {
             Some(true) => "yes",
@@ -1052,16 +1038,15 @@ fn scale_run<const D: usize>(path: &std::path::Path, opts: &Opts, report: &mut R
     report.push(ResultRow {
         experiment: "scale".into(),
         dataset: format!("{D}D-points-file"),
-        method: "EMST-Streaming".into(),
+        method: "EMST-MemoGFK".into(),
         threads: max_t,
         n,
         seconds: secs,
         extra: Some(serde_json::json!({
             "ingest_seconds": ingest_secs,
-            "batch_cap_pairs": cap as u64,
-            "batches": stats.rounds,
+            "rounds": stats.rounds,
             "peak_live_pairs": stats.peak_live_pairs,
-            "peak_pair_bytes": stats.peak_pair_bytes,
+            "peak_frontier": stats.peak_frontier,
             "bccp_calls": stats.bccp_calls,
             "max_memory_bytes": opts.max_memory,
             "peak_rss_bytes": rss.unwrap_or(0),
@@ -1139,7 +1124,7 @@ fn main() {
     if want("extract") {
         extraction(&opts, &mut report);
     }
-    // Explicit-only: multi-million-point streaming run sized for nightly.
+    // Explicit-only: multi-million-point run sized for nightly.
     let mut scale_ok = true;
     if opts.experiments.iter().any(|e| e == "scale") {
         scale_ok = scale_experiment(&opts, &mut report);

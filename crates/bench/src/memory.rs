@@ -1,59 +1,9 @@
-//! Memory budgeting and measurement for the scale harness.
+//! Memory measurement for the scale harness.
 //!
-//! The `repro scale` experiment runs the streaming pipeline under a
-//! `--max-memory` bound: [`MemoryBudget`] converts that bound into a WSPD
-//! batch capacity (total budget minus the estimated fixed per-point cost,
-//! divided by a conservative per-pair working-set estimate), and
-//! [`peak_rss_bytes`] reads the process high-water mark so the bench JSON
-//! records whether the run actually stayed inside the bound.
-
-/// Conservative estimate of the resident bytes each point costs the
-/// pipeline at dimension `dims`: the caller's input `Vec`, the kd-tree's
-/// permuted copy + index + node array (n − 1 internal nodes of
-/// `16·dims + 16` bytes; leaves are not stored), union-find, forest edges,
-/// and allocator slack. The value predates the leaf-free tree, which saves
-/// another `16·dims + 16` bytes a point; it is kept as headroom, so the
-/// `repro scale` batch capacities stay as they were.
-pub fn fixed_bytes_per_point(dims: usize) -> u64 {
-    (48 * dims + 96) as u64
-}
-
-/// Conservative per-pair working-set estimate for one streaming batch:
-/// the `NodePair`, the `Option<Edge>` candidate slot, the absorbed `Edge`,
-/// and sort scratch.
-pub const BYTES_PER_PAIR: u64 = 96;
-
-/// Smallest batch capacity the budget will ever hand out — below this the
-/// per-batch component-annotation overhead dominates.
-pub const MIN_BATCH_PAIRS: usize = 4_096;
-
-/// A total working-set bound (bytes) for a streaming run.
-#[derive(Debug, Clone, Copy)]
-pub struct MemoryBudget {
-    pub bytes: u64,
-}
-
-impl MemoryBudget {
-    pub fn new(bytes: u64) -> Self {
-        MemoryBudget { bytes }
-    }
-
-    /// Estimated fixed cost of `n` points at dimension `dims`.
-    pub fn fixed_bytes(&self, n: usize, dims: usize) -> u64 {
-        n as u64 * fixed_bytes_per_point(dims)
-    }
-
-    /// WSPD batch capacity that keeps the streaming working set inside the
-    /// budget: `(bytes − fixed) / BYTES_PER_PAIR`, floored at
-    /// [`MIN_BATCH_PAIRS`]. A budget smaller than the fixed cost still
-    /// returns the floor — the batches stay bounded, but the caller should
-    /// surface that the points themselves exceed the bound.
-    pub fn batch_cap(&self, n: usize, dims: usize) -> usize {
-        let remaining = self.bytes.saturating_sub(self.fixed_bytes(n, dims));
-        let cap = (remaining / BYTES_PER_PAIR) as usize;
-        cap.clamp(MIN_BATCH_PAIRS, 1 << 26)
-    }
-}
+//! The `repro scale` experiment runs MemoGFK under a `--max-memory` bound:
+//! [`parse_bytes`] reads that bound, and [`peak_rss_bytes`] reads the
+//! process high-water mark so the bench JSON records whether the run
+//! actually stayed inside it.
 
 /// Parse a human byte size: a plain integer is bytes; `K`/`M`/`G` suffixes
 /// (case-insensitive, optional trailing `B` or `iB`) scale by powers of
@@ -138,20 +88,6 @@ mod tests {
         assert_eq!(parse_bytes(" 10 ").unwrap(), 10);
         assert!(parse_bytes("lots").is_err());
         assert!(parse_bytes("-1G").is_err());
-    }
-
-    #[test]
-    fn budget_caps_scale_with_headroom() {
-        let n = 2_000_000;
-        let tight = MemoryBudget::new(parse_bytes("512M").unwrap());
-        let roomy = MemoryBudget::new(parse_bytes("4G").unwrap());
-        let c_tight = tight.batch_cap(n, 3);
-        let c_roomy = roomy.batch_cap(n, 3);
-        assert!(c_tight >= MIN_BATCH_PAIRS);
-        assert!(c_roomy > c_tight, "{c_roomy} vs {c_tight}");
-        // A budget below the fixed cost still returns the bounded floor.
-        let starved = MemoryBudget::new(1);
-        assert_eq!(starved.batch_cap(n, 3), MIN_BATCH_PAIRS);
     }
 
     #[test]

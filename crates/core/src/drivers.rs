@@ -14,6 +14,10 @@
 //!   kd-tree root, and a pair whose BCCP is known carries its endpoints in
 //!   that frontier (the paper's cached BCCP results, §3.1.2).
 //!
+//! MemoGFK is the one engine behind `emst`, HDBSCAN\*, served and dynamic
+//! models and the multi-million-point `repro scale` run; Naive and GFK are
+//! the paper's baselines.
+//!
 //! Instantiated with [`parclust_wspd::GeometricSep`] these compute the EMST;
 //! with [`parclust_wspd::MutualReachSep`] they compute the HDBSCAN\* MST
 //! (Standard mode = the exact Gan–Tao baseline of §3.2.1, Combined mode =
@@ -24,15 +28,14 @@
 
 use parclust_geom::Point;
 use parclust_kdtree::{KdTree, NodeId};
-use parclust_mst::{kruskal_batch, Edge, StreamingForest};
+use parclust_mst::{kruskal_batch, Edge};
 use parclust_obs::phase;
 use parclust_primitives::atomic::AtomicF64Min;
 use parclust_primitives::collector::Collector;
 use parclust_primitives::pack::{pack, split};
 use parclust_primitives::unionfind::UnionFind;
 use parclust_wspd::{
-    bccp, wspd_materialize, wspd_resume, wspd_stream_batches, Bccp, NodePair, OpenState,
-    SeparationPolicy, Step,
+    bccp, wspd_materialize, wspd_resume, Bccp, NodePair, OpenState, SeparationPolicy, Step,
 };
 use rayon::prelude::*;
 use std::mem::size_of;
@@ -328,13 +331,7 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                 tree,
                 policy,
                 &frontier,
-                &|a| {
-                    if one_component(a) || tree.node_size(a) <= beta {
-                        Step::Drop
-                    } else {
-                        Step::Expand
-                    }
-                },
+                &|a| !one_component(a) && tree.node_size(a) > beta,
                 &|a, b| {
                     if same_component(&comp, a, b)
                         || tree.node_size(a) + tree.node_size(b) <= beta
@@ -363,13 +360,7 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                 tree,
                 policy,
                 &frontier,
-                &|a| {
-                    if one_component(a) {
-                        Step::Drop
-                    } else {
-                        Step::Expand
-                    }
-                },
+                &|a| !one_component(a),
                 &|a, b| {
                     if same_component(&comp, a, b) || policy.upper_bound(tree, a, b) < rho_lo {
                         Step::Drop
@@ -426,68 +417,6 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
         rho_lo = rho_hi;
     }
     out
-}
-
-/// Bounded-memory streaming driver: WSPD pairs are produced in batches of
-/// at most `batch_pairs` ([`wspd_stream_batches`]), each batch is BCCP'd in
-/// parallel, and the resulting candidate edges are folded into a
-/// [`StreamingForest`] — the MST sparsification `MST(A ∪ B) =
-/// MST(MST(A) ∪ B)`, exact under the strict `(w, u, v)` edge order. Peak
-/// pair memory is `O(batch_pairs)` instead of `O(|WSPD|)`, and the output
-/// is bit-identical to the materializing drivers for every batch size.
-///
-/// Two deterministic prunes keep the BCCP work far below the naive
-/// driver's: a pair both of whose nodes lie in one already-connected
-/// forest component is skipped outright when its weight lower bound
-/// exceeds that component's maximum forest edge (cycle property — the
-/// candidate would be the strict maximum on the cycle it closes).
-pub(crate) fn wspd_mst_streaming<const D: usize, P: SeparationPolicy<D>>(
-    tree: &KdTree<D>,
-    policy: &P,
-    rec: &Recorder,
-    batch_pairs: usize,
-) -> Vec<Edge> {
-    let n = tree.len();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let cap = batch_pairs.max(1);
-    let mut forest = StreamingForest::new(n);
-    wspd_stream_batches(tree, policy, cap, &mut |pairs: &mut Vec<NodePair>| {
-        rec.round();
-        let _batch_span = parclust_obs::span!("wspd.batch", pairs = pairs.len());
-        rec.pairs(pairs.len());
-        // A batch's pairs, their candidate slots and its edges.
-        let bytes_each = size_of::<NodePair>() + size_of::<Option<Edge>>() + size_of::<Edge>();
-        rec.live(pairs.len(), bytes_each);
-        // Per-node component annotation against the *current* forest; the
-        // prune below only ever skips edges that provably cannot enter
-        // the MST, so the result is independent of batching.
-        let comp = component_annotation(tree, forest.uf(), rec);
-        let batch: Vec<Edge> = {
-            let _phase = phase!(&rec.wspd, "bccp.batch", pairs = pairs.len());
-            let fref = &forest;
-            let candidates: Vec<Option<Edge>> = pairs
-                .par_iter()
-                .map(|&(a, b)| {
-                    let ca = comp[a as usize];
-                    if ca != MIXED
-                        && ca == comp[b as usize]
-                        && fref.can_skip_within(ca, policy.lower_bound(tree, a, b))
-                    {
-                        return None;
-                    }
-                    rec.bccp();
-                    let r = bccp(tree, policy, a, b);
-                    Some(Edge::new(r.u, r.v, r.w))
-                })
-                .collect();
-            candidates.into_iter().flatten().collect()
-        };
-        let _phase = phase!(&rec.kruskal, "mst.absorb", edges = batch.len());
-        forest.absorb(batch);
-    });
-    forest.into_edges()
 }
 
 /// Map position-space MST edges back to original point indices and put them

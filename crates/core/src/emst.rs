@@ -2,7 +2,9 @@
 //! lineup).
 //!
 //! All drivers return the same tree (up to ties); they differ in work,
-//! space, and parallel structure:
+//! space, and parallel structure. MemoGFK is also the one engine for
+//! multi-million-point inputs (`repro scale`): its peak memory is a
+//! fraction of the materializing drivers'.
 //!
 //! | Driver | Paper name | Strategy |
 //! |---|---|---|
@@ -22,7 +24,7 @@ use parclust_wspd::GeometricSep;
 
 use crate::drivers::{
     build_tree, edges_to_original, wspd_mst_gfk, wspd_mst_memogfk, wspd_mst_memogfk_sched,
-    wspd_mst_naive, wspd_mst_streaming, BetaSchedule,
+    wspd_mst_naive, BetaSchedule,
 };
 use crate::stats::{Recorder, Stats};
 
@@ -99,19 +101,6 @@ pub fn emst_memogfk_with_schedule<const D: usize>(
 ) -> Emst {
     emst_on_tree(points, |tree, rec| {
         wspd_mst_memogfk_sched(tree, &SEP, rec, schedule)
-    })
-}
-
-/// EMST via the bounded-memory streaming pipeline: well-separated pairs
-/// are produced in batches of at most `max_batch_pairs` and folded into a
-/// streaming Kruskal forest, so peak pair memory is `O(max_batch_pairs)`
-/// instead of `O(|WSPD|)`. The result is **bit-identical** to
-/// [`emst_naive`]/[`emst_gfk`]/[`emst_memogfk`] for every batch size (MST
-/// sparsification under the strict `(w, u, v)` edge order); the contract is
-/// pinned by `tests/streaming_semantics.rs`.
-pub fn emst_streaming<const D: usize>(points: &[Point<D>], max_batch_pairs: usize) -> Emst {
-    emst_on_tree(points, |tree, rec| {
-        wspd_mst_streaming(tree, &SEP, rec, max_batch_pairs)
     })
 }
 
@@ -259,46 +248,6 @@ mod tests {
             "incrementing β must take more rounds ({} vs {})",
             increment.stats.rounds,
             double.stats.rounds
-        );
-    }
-
-    #[test]
-    fn streaming_matches_in_memory_bitwise() {
-        let pts = random_points::<2>(600, 31);
-        let want = emst_memogfk(&pts);
-        for cap in [1usize, 64, 100_000] {
-            let got = emst_streaming(&pts, cap);
-            assert_eq!(got.edges.len(), want.edges.len(), "cap={cap}");
-            for (a, b) in got.edges.iter().zip(&want.edges) {
-                assert_eq!((a.u, a.v, a.w.to_bits()), (b.u, b.v, b.w.to_bits()));
-            }
-            assert_eq!(got.total_weight.to_bits(), want.total_weight.to_bits());
-        }
-    }
-
-    #[test]
-    fn streaming_bounds_live_pairs() {
-        let pts = random_points::<2>(2000, 37);
-        let naive = emst_naive(&pts);
-        let cap = 256;
-        let streamed = emst_streaming(&pts, cap);
-        assert!(
-            streamed.stats.peak_live_pairs <= cap as u64,
-            "peak {} exceeds cap {cap}",
-            streamed.stats.peak_live_pairs
-        );
-        assert!(streamed.stats.peak_live_pairs < naive.stats.peak_live_pairs);
-        assert!(
-            streamed.stats.rounds > 1,
-            "must have taken multiple batches"
-        );
-        // The component/cycle prune must save BCCP work vs. the naive
-        // driver, which computes one per pair.
-        assert!(
-            streamed.stats.bccp_calls < naive.stats.bccp_calls,
-            "streamed {} vs naive {}",
-            streamed.stats.bccp_calls,
-            naive.stats.bccp_calls
         );
     }
 

@@ -50,9 +50,7 @@ pub use dendrogram::{
     count_clusters, dbscan_star_labels, dendrogram_par, dendrogram_par_with, dendrogram_seq,
     reachability_plot, single_linkage_cut, single_linkage_k, Dendrogram, DendrogramParams, NOISE,
 };
-pub use emst::{
-    emst, emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive, emst_streaming, Emst,
-};
+pub use emst::{emst, emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive, Emst};
 pub use extract::{
     condense_tree, extract_eom, extract_eom_eps, hdbscan_cluster, hdbscan_cluster_eps,
     CondensedTree,

@@ -207,6 +207,14 @@ impl Default for Fnv1a64 {
     }
 }
 
+/// FNV-1a 64-bit over `bytes` in one call — the checksum of every binary
+/// format in the workspace.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
 /// Header of a chunked point file, readable without fixing the const
 /// dimension (callers dispatch on `dims`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -699,7 +707,11 @@ mod tests {
             b.update(chunk);
         }
         assert_eq!(a.finish(), b.finish());
+        assert_eq!(a.finish(), fnv1a64(data));
         assert_ne!(a.finish(), Fnv1a64::new().finish());
+        // The published 64-bit FNV-1a test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 
     #[test]

@@ -11,10 +11,6 @@
 //! [`kruskal`], [`boruvka`], and [`prim_dense`] are standalone MST
 //! algorithms used as baselines and test oracles.
 
-pub mod streaming;
-
-pub use streaming::StreamingForest;
-
 use parclust_primitives::unionfind::UnionFind;
 use rayon::prelude::*;
 

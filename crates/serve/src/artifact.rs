@@ -50,6 +50,9 @@ use parclust_kdtree::KdTree;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
+/// The artifact checksum: the data crate's FNV-1a 64-bit.
+pub use parclust_data::io::fnv1a64;
+
 /// Artifact magic: "ParClust Serving Model".
 pub const MAGIC: &[u8; 4] = b"PCSM";
 /// Current artifact format version (3: the kd-tree is rebuilt on load).
@@ -68,16 +71,6 @@ fn check_version(version: u32) -> io::Result<()> {
         "unsupported artifact version {version} (this build reads version \
          {FORMAT_VERSION} only); rebuild the model with `serve build`"
     )))
-}
-
-/// FNV-1a 64-bit over `bytes` — cheap, dependency-free corruption check.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Replace the file at `path` with `bytes` without ever destroying the

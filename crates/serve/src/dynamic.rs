@@ -47,10 +47,10 @@
 //! handle it published, so neither a mutation nor
 //! [`DynModelHandle::query_handle`] builds another.
 
-use crate::artifact::{fnv1a64, write_file_atomic, ClusterModel};
+use crate::artifact::{write_file_atomic, ClusterModel};
 use crate::registry::{handle_for_model, ModelHandle, ModelRegistry};
 use crate::with_model_dims;
-use parclust_data::io::le;
+use parclust_data::io::{fnv1a64, le};
 use parclust_dyn::{DynConfig, DynamicModel, MutationBatch};
 use parclust_geom::Point;
 use serde_json::Value;

@@ -30,9 +30,8 @@
 //! server reject a frame routed at the wrong model even when a proxy
 //! rewrites paths.
 
-use crate::artifact::fnv1a64;
 use crate::engine::LabelingSpec;
-use parclust_data::io::le;
+use parclust_data::io::{fnv1a64, le};
 
 /// Request frame magic: "ParClust Assign Batch".
 pub const REQ_MAGIC: &[u8; 4] = b"PCAB";

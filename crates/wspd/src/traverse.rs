@@ -7,17 +7,16 @@
 //!
 //! [`wspd_resume`] runs that recursion from a *frontier*: a list of open
 //! states ([`OpenState`]) instead of the root alone. Three hooks steer it.
-//! Two of them return a [`Step`]: the node hook, evaluated on every
-//! `WSPD(A)` entry, and the pair hook, evaluated on every `FindPair`
-//! entry. Each drops the state *and everything below it*, keeps it
-//! unexpanded for the next frontier, or expands it. The visit hook sees
-//! each well-separated pair reached and may keep it too, carrying its BCCP
-//! endpoints. Kept states come back as the next frontier. MemoGFK (Section
-//! 3.1.3) is built on it: each round's `GetRho` and `GetPairs` walk only
-//! the frontier the previous `GetPairs` left, never the whole tree again.
-//! The streaming batcher ([`crate::wspd_stream_batches`]) keeps every
-//! state below `PAIR_GRAIN` points as a task and walks each task on its own.
-//! [`wspd_traverse`] is the one-shot walk from the root.
+//! The node hook, evaluated on every `WSPD(A)` entry, expands the node or
+//! drops it *and everything below it*. The pair hook, evaluated on every
+//! `FindPair` entry, returns a [`Step`]: drop the pair and everything
+//! below it, keep it unexpanded for the next frontier, or expand it. The
+//! visit hook sees each well-separated pair reached and may keep it too,
+//! carrying its BCCP endpoints. Kept states come back as the next
+//! frontier. MemoGFK (Section 3.1.3) is built on it: each round's `GetRho`
+//! and `GetPairs` walk only the frontier the previous `GetPairs` left,
+//! never the whole tree again. [`wspd_traverse`] is the one-shot walk from
+//! the root.
 
 use parclust_kdtree::{KdTree, NodeId};
 use parclust_primitives::collector::Collector;
@@ -30,7 +29,7 @@ pub type NodePair = (NodeId, NodeId);
 
 /// Below this combined size, `WSPD(A)` and `FindPair` recursion stays
 /// sequential.
-pub(crate) const PAIR_GRAIN: usize = 2048;
+const PAIR_GRAIN: usize = 2048;
 
 /// Frontier states walked as one sequential run: enough to amortize
 /// handing the run's kept states to the shared collector, few enough that
@@ -47,7 +46,7 @@ const NONE: u32 = u32::MAX;
 /// * `u`, `v` absent — the unexpanded pair `FindPair(a, b)`;
 /// * all present — the well-separated pair `(a, b)` with its BCCP
 ///   endpoints `(u, v)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpenState {
     a: NodeId,
     b: NodeId,
@@ -87,38 +86,20 @@ impl OpenState {
         (self.a, self.b)
     }
 
-    /// The number of points the state's nodes cover.
-    pub(crate) fn points<const D: usize>(&self, tree: &KdTree<D>) -> usize {
-        if self.b == NONE {
-            tree.node_size(self.a)
-        } else {
-            tree.node_size(self.a) + tree.node_size(self.b)
-        }
-    }
-
-    /// The permuted positions `start..end` the state's nodes cover, from
-    /// the first node's start to the last node's end.
-    pub(crate) fn span<const D: usize>(&self, tree: &KdTree<D>) -> std::ops::Range<u32> {
-        let b = if self.b == NONE { self.a } else { self.b };
-        let start = tree.node_start(self.a).min(tree.node_start(b));
-        start..tree.node_end(self.a).max(tree.node_end(b))
-    }
-
     /// The carried BCCP endpoints, if this is a separated pair.
     pub fn endpoints(&self) -> Option<(u32, u32)> {
         (self.u != NONE).then_some((self.u, self.v))
     }
 }
 
-/// What a resumable traversal does with a node or pair state.
+/// What a resumable traversal does with a pair state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
     /// Abandon the state and all of its descendant states.
     Drop,
     /// Stop here and hand the state to the next frontier as it is.
     Keep,
-    /// Recurse into a node's children; visit a pair if it is
-    /// well-separated, split it otherwise.
+    /// Visit the pair if it is well-separated, split it otherwise.
     Expand,
 }
 
@@ -137,7 +118,7 @@ where
             tree,
             policy,
             &[OpenState::node(tree.root())],
-            &|_| Step::Expand,
+            &|_| true,
             &|a, b| {
                 if prune(a, b) {
                     Step::Drop
@@ -157,26 +138,26 @@ where
 /// Resume Algorithm 1 from `frontier` and return the next frontier.
 ///
 /// A leaf's node state is skipped; every other node state, carried or
-/// reached, goes through `node_step` first, and every pair state through
-/// `step`. An expanded pair that is well-separated — or a carried
-/// separated pair — is handed to `visit`, which returns the state to keep,
-/// if any. Everything kept by a hook makes up the returned frontier, whose
-/// order depends on scheduling across states. A frontier of one state whose
-/// nodes cover fewer than `PAIR_GRAIN` (2048) points is walked on the
-/// calling thread, and its kept states come back in depth-first order. The
-/// frontier's states are never ancestors of one another, so no pair is
-/// reached twice.
+/// reached, is expanded only if `expand_node` returns true, and every pair
+/// state goes through `step`. An expanded pair that is well-separated — or
+/// a carried separated pair — is handed to `visit`, which returns the
+/// state to keep, if any. Everything kept by a hook makes up the returned
+/// frontier of pair states, whose order depends on scheduling across
+/// states. A frontier of one state whose nodes cover fewer than
+/// `PAIR_GRAIN` (2048) points is walked on the calling thread, and its
+/// kept states come back in depth-first order. The frontier's states are
+/// never ancestors of one another, so no pair is reached twice.
 pub fn wspd_resume<const D: usize, P, N, S, V>(
     tree: &KdTree<D>,
     policy: &P,
     frontier: &[OpenState],
-    node_step: &N,
+    expand_node: &N,
     step: &S,
     visit: &V,
 ) -> Vec<OpenState>
 where
     P: SeparationPolicy<D>,
-    N: Fn(NodeId) -> Step + Sync,
+    N: Fn(NodeId) -> bool + Sync,
     S: Fn(NodeId, NodeId) -> Step + Sync,
     V: Fn(OpenState) -> Option<OpenState> + Sync,
 {
@@ -184,7 +165,7 @@ where
     let walk = Walk {
         tree,
         policy,
-        node_step,
+        expand_node,
         step,
         visit,
         next: &next,
@@ -199,7 +180,7 @@ where
 struct Walk<'a, const D: usize, P, N, S, V> {
     tree: &'a KdTree<D>,
     policy: &'a P,
-    node_step: &'a N,
+    expand_node: &'a N,
     step: &'a S,
     visit: &'a V,
     next: &'a Collector<OpenState>,
@@ -212,7 +193,7 @@ struct Walk<'a, const D: usize, P, N, S, V> {
 impl<const D: usize, P, N, S, V> Walk<'_, D, P, N, S, V>
 where
     P: SeparationPolicy<D>,
-    N: Fn(NodeId) -> Step + Sync,
+    N: Fn(NodeId) -> bool + Sync,
     S: Fn(NodeId, NodeId) -> Step + Sync,
     V: Fn(OpenState) -> Option<OpenState> + Sync,
 {
@@ -247,16 +228,8 @@ where
 
     fn node(&self, a: NodeId, out: &mut Vec<OpenState>) {
         let tree = self.tree;
-        if tree.is_leaf(a) {
+        if tree.is_leaf(a) || !(self.expand_node)(a) {
             return;
-        }
-        match (self.node_step)(a) {
-            Step::Drop => return,
-            Step::Keep => {
-                out.push(OpenState::node(a));
-                return;
-            }
-            Step::Expand => {}
         }
         let (l, r) = tree.children(a);
         if tree.node_size(a) >= PAIR_GRAIN {
@@ -462,9 +435,9 @@ mod tests {
     }
 
     /// Stopping a walk part-way and resuming it from the returned frontier
-    /// of kept node, pair and separated states reaches exactly the pairs of
-    /// the one-shot walk, each once (the comparison is against a list with
-    /// no duplicates), and hands back carried endpoints untouched.
+    /// of kept pair and separated states reaches exactly the pairs of the
+    /// one-shot walk, each once (the comparison is against a list with no
+    /// duplicates), and hands back carried endpoints untouched.
     #[test]
     fn resumed_walk_matches_one_shot() {
         let pts = random_points::<2>(3000, 13);
@@ -481,13 +454,7 @@ mod tests {
             &tree,
             &policy,
             &[OpenState::node(tree.root())],
-            &|a| {
-                if tree.node_size(a) <= 48 {
-                    Step::Keep
-                } else {
-                    Step::Expand
-                }
-            },
+            &|_| true,
             &|a, b| {
                 if card(a, b) > 64 {
                     Step::Keep
@@ -505,14 +472,14 @@ mod tests {
                 None
             },
         );
-        assert!(frontier.iter().any(|s| s.b == NONE), "no kept node");
-        assert!(frontier.iter().any(|s| s.b != NONE && s.u == NONE));
+        assert!(frontier.iter().all(|s| s.b != NONE), "only pairs are kept");
+        assert!(frontier.iter().any(|s| s.u == NONE));
         assert!(frontier.iter().any(|s| s.endpoints().is_some()));
         let rest = wspd_resume(
             &tree,
             &policy,
             &frontier,
-            &|_| Step::Expand,
+            &|_| true,
             &|_, _| Step::Expand,
             &|s| {
                 if let Some(uv) = s.endpoints() {

@@ -92,13 +92,26 @@ fn emst_memogfk_identical_across_thread_counts() {
 #[test]
 fn emst_methods_agree_with_each_other() {
     // The three methods must compute the *same* MST (strict total edge
-    // order makes it unique), each inside a multi-worker pool.
-    let pts: Vec<Point<2>> = seed_spreader(2_500, 14);
-    let naive = in_pool(4, || emst_naive(&pts));
-    let gfk = in_pool(4, || emst_gfk(&pts));
-    let memo = in_pool(4, || emst_memogfk(&pts));
-    assert_eq!(edge_bits(&naive.edges), edge_bits(&gfk.edges));
-    assert_eq!(edge_bits(&naive.edges), edge_bits(&memo.edges));
+    // order makes it unique) and the same total-weight bits, each inside
+    // a multi-worker pool.
+    for (n, seed) in [(2_500, 14), (3_000, 51)] {
+        let pts: Vec<Point<2>> = seed_spreader(n, seed);
+        let naive = in_pool(4, || emst_naive(&pts));
+        let gfk = in_pool(4, || emst_gfk(&pts));
+        let memo = in_pool(4, || emst_memogfk(&pts));
+        for (name, t) in [("gfk", &gfk), ("memogfk", &memo)] {
+            assert_eq!(
+                edge_bits(&naive.edges),
+                edge_bits(&t.edges),
+                "naive vs {name}, seed {seed}"
+            );
+            assert_eq!(
+                naive.total_weight.to_bits(),
+                t.total_weight.to_bits(),
+                "naive vs {name} weight, seed {seed}"
+            );
+        }
+    }
 }
 
 #[test]

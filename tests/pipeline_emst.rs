@@ -2,7 +2,7 @@
 
 use parclust::{
     dendrogram_par, emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive,
-    emst_streaming, reachability_plot, single_linkage_cut, single_linkage_k, Point, Stats,
+    reachability_plot, single_linkage_cut, single_linkage_k, Point, Stats,
 };
 use parclust_data::{gps_like, seed_spreader, sensor_like, uniform_fill};
 use parclust_primitives::unionfind::UnionFind;
@@ -41,21 +41,14 @@ fn drivers_agree<const D: usize>(pts: &[Point<D>], what: &str) -> f64 {
     let naive = emst_naive(pts);
     let gfk = emst_gfk(pts);
     let boruvka = emst_boruvka(pts);
-    let streamed = emst_streaming(pts, 512);
     for (name, t) in [
         ("memogfk", &memo),
         ("naive", &naive),
         ("gfk", &gfk),
         ("boruvka", &boruvka),
-        ("streaming", &streamed),
     ] {
         check_total(&t.stats, &format!("{what}: {name}"));
     }
-    assert_close(
-        streamed.total_weight,
-        memo.total_weight,
-        &format!("{what}: streaming"),
-    );
     assert_close(
         naive.total_weight,
         memo.total_weight,

@@ -5,8 +5,8 @@
 //! These tests only ever enable tracing, so they run in their own binary.
 
 use parclust::{
-    emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive, emst_streaming,
-    hdbscan_gantao, hdbscan_memogfk, optics_approx, Point, Stats,
+    emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive, hdbscan_gantao,
+    hdbscan_memogfk, optics_approx, Point, Stats,
 };
 use parclust_data::seed_spreader;
 use parclust_obs::export::drain;
@@ -33,7 +33,7 @@ const SLOTS: [(&str, &[&str]); 5] = [
             "optics.base_graph",
         ],
     ),
-    ("kruskal", &["mst.kruskal", "mst.absorb", "boruvka.union"]),
+    ("kruskal", &["mst.kruskal", "boruvka.union"]),
     ("total", &["pipeline.total"]),
 ];
 
@@ -121,8 +121,7 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
 }
 
 fn points() -> Vec<Point<2>> {
-    // Above the WSPD's 2048-point grain, so the streaming driver splits
-    // its walk into several tasks.
+    // Above the WSPD's 2048-point grain, so the walks fork.
     seed_spreader(3000, 41)
 }
 
@@ -141,22 +140,6 @@ fn emst_memogfk_stats_are_its_spans() {
     assert_view(&stats, &events, &expect, 1, "emst_memogfk");
     let (stats, events) = in_pool(2, || traced(|| emst_memogfk(&pts).stats));
     assert_view(&stats, &events, &expect, 1, "emst_memogfk, 2 threads");
-}
-
-#[test]
-fn emst_streaming_stats_are_its_spans() {
-    let pts = points();
-    let expect = [
-        "pipeline.total",
-        "pipeline.build_tree",
-        "bccp.batch",
-        "mst.absorb",
-    ];
-    let (stats, events) = traced(|| emst_streaming(&pts, 256).stats);
-    assert_view(&stats, &events, &expect, 1, "emst_streaming");
-    assert!(stats.rounds > 1, "must stream several batches");
-    let (stats, events) = in_pool(2, || traced(|| emst_streaming(&pts, 256).stats));
-    assert_view(&stats, &events, &expect, 1, "emst_streaming, 2 threads");
 }
 
 #[test]

@@ -1,26 +1,14 @@
-//! The streaming pipeline's exactness contract.
+//! The chunked point-file ingestion contract.
 //!
-//! The bounded-memory path (batched WSPD production, streaming Kruskal
-//! merges) must be **bit-identical** to the in-memory path: same edges,
-//! same weights-by-bits — for all three EMST methods, every batch size,
-//! and every thread count — and chunked point files must read back
-//! bit-losslessly. These tests pin that contract the same way
-//! `tests/parallel_semantics.rs` pins thread-count determinism.
+//! Points streamed through the chunked `PCLS` format must read back
+//! bit-losslessly, at every length and chunk size, so a model built from a
+//! file is **bit-identical** to one built from the points in memory. These
+//! tests pin that contract the same way `tests/parallel_semantics.rs`
+//! pins thread-count determinism.
 
-use parclust::{
-    condense_tree, dendrogram_par, emst_gfk, emst_memogfk, emst_naive, emst_streaming,
-    hdbscan_memogfk, Edge, Point,
-};
-use parclust_data::{read_chunked, seed_spreader, uniform_fill, ChunkedWriter};
+use parclust::{condense_tree, dendrogram_par, hdbscan_memogfk, Edge, Point};
+use parclust_data::{read_chunked, seed_spreader, ChunkedWriter};
 use proptest::prelude::*;
-
-fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool")
-        .install(f)
-}
 
 fn edge_bits(edges: &[Edge]) -> Vec<(u64, u32, u32)> {
     edges.iter().map(|e| (e.w.to_bits(), e.u, e.v)).collect()
@@ -33,53 +21,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
         std::process::id()
     ));
     p
-}
-
-#[test]
-fn streaming_emst_identical_to_all_in_memory_methods() {
-    let pts: Vec<Point<2>> = seed_spreader(3_000, 51);
-    let naive = emst_naive(&pts);
-    let gfk = emst_gfk(&pts);
-    let memo = emst_memogfk(&pts);
-    // The in-memory methods agree with each other (pinned elsewhere);
-    // streaming must match all three at every batch size.
-    for cap in [64usize, 1_000, 1 << 22] {
-        let streamed = emst_streaming(&pts, cap);
-        assert!(
-            streamed.stats.peak_live_pairs <= cap as u64,
-            "cap={cap}: peak {} pairs",
-            streamed.stats.peak_live_pairs
-        );
-        for (name, want) in [("naive", &naive), ("gfk", &gfk), ("memogfk", &memo)] {
-            assert_eq!(
-                edge_bits(&streamed.edges),
-                edge_bits(&want.edges),
-                "streaming vs {name} at cap={cap}"
-            );
-            assert_eq!(
-                streamed.total_weight.to_bits(),
-                want.total_weight.to_bits(),
-                "weight vs {name} at cap={cap}"
-            );
-        }
-    }
-}
-
-#[test]
-fn streaming_emst_identical_across_thread_counts() {
-    let pts: Vec<Point<2>> = uniform_fill(2_500, 53);
-    let cap = 512;
-    let baseline = in_pool(1, || emst_streaming(&pts, cap));
-    assert_eq!(baseline.edges.len(), pts.len() - 1);
-    for threads in [2usize, 4, 8] {
-        let run = in_pool(threads, || emst_streaming(&pts, cap));
-        assert_eq!(
-            edge_bits(&baseline.edges),
-            edge_bits(&run.edges),
-            "streaming EMST differs at {threads} threads"
-        );
-        assert_eq!(baseline.total_weight.to_bits(), run.total_weight.to_bits());
-    }
 }
 
 #[test]
