@@ -145,23 +145,21 @@ pub(crate) fn wspd_mst_naive<const D: usize, P: SeparationPolicy<D>>(
     // BCCP of every pair forms the candidate edge set (attributed to the
     // wspd phase, as in the paper's decomposition: "kruskal" is the MST
     // stage only).
-    let mut edges: Vec<Edge> = {
+    let edges = Collector::new();
+    {
         let _phase = phase!(&rec.wspd, "bccp.batch", pairs = pairs.len());
-        pairs
-            .par_iter()
-            .map(|&(a, b)| {
-                rec.bccp();
-                let r = bccp(tree, policy, a, b);
-                Edge::new(r.u, r.v, r.w)
-            })
-            .collect()
-    };
+        pairs.par_iter().for_each(|&(a, b)| {
+            rec.bccp();
+            let r = bccp(tree, policy, a, b);
+            edges.push(Edge::new(r.u, r.v, r.w));
+        });
+    }
     drop(pairs);
 
     let mut uf = UnionFind::new(n);
     let mut out = Vec::with_capacity(n - 1);
     let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = edges.len());
-    kruskal_batch(&mut edges, &mut uf, &mut out);
+    kruskal_batch(edges.into_segments(), &mut uf, &mut out);
     out
 }
 
@@ -215,7 +213,7 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
 
     while out.len() + 1 < n && !pairs.is_empty() {
         rec.round();
-        let (mut batch, rest) = {
+        let (batch, rest) = {
             let _phase = phase!(&rec.wspd, "wspd.gfk_round", beta = beta);
             // Line 4: split by cardinality.
             let (arr, n_small) = split(&pairs, |p| (p.card as usize) <= beta);
@@ -240,10 +238,10 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
                 }
             });
             let (s_l, n_l1) = split(&s_l, |p| p.w <= rho_hi);
-            let batch: Vec<Edge> = s_l[..n_l1]
+            let batch = Collector::new();
+            s_l[..n_l1]
                 .par_iter()
-                .map(|p| Edge::new(p.u, p.v, p.w))
-                .collect();
+                .for_each(|p| batch.push(Edge::new(p.u, p.v, p.w)));
             // Survivors: S_l2 ∪ S_u, to be component-filtered below.
             let mut rest: Vec<GfkPair> = Vec::with_capacity(s_l.len() - n_l1 + s_u.len());
             rest.extend_from_slice(&s_l[n_l1..]);
@@ -254,7 +252,7 @@ pub(crate) fn wspd_mst_gfk<const D: usize, P: SeparationPolicy<D>>(
         // Lines 7–8: Kruskal on the round's edges.
         {
             let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = batch.len());
-            kruskal_batch(&mut batch, &mut uf, &mut out);
+            kruskal_batch(batch.into_segments(), &mut uf, &mut out);
         }
 
         // Line 9: drop pairs already connected in the union-find.
@@ -285,15 +283,20 @@ pub(crate) fn wspd_mst_memogfk<const D: usize, P: SeparationPolicy<D>>(
 /// from the frontier the previous `GetPairs` kept ([`wspd_resume`]). A kept
 /// state is a pair pruned only by `lower_bound ≥ ρ_hi`, or a well-separated
 /// pair whose BCCP came out at or above `ρ_hi`, carried with its endpoints
-/// so its BCCP runs once. Dropped states never come back: components only
-/// merge, `ρ_lo`/`ρ_hi` and `β` never decrease, `lower_bound` rises and
-/// `upper_bound` falls down the tree. So every pair a root walk would
-/// reach in a later round lies at or below a kept state, and every pair
-/// `GetRho` must see (cardinality > β, lower bound ≥ the last `ρ_hi`) was
-/// kept. The rounds' `ρ_hi` and edge batches, and so the MST bits and the
-/// work counters, are those of re-walking the tree from the root. The
-/// component annotation is recomputed only after a batch that grew the
-/// MST.
+/// so its BCCP runs once. `GetPairs` drops a state only when its nodes lie
+/// in one component, which stays so: components only merge. So every pair
+/// a root walk would reach in a later round lies at or below a kept state,
+/// and every pair `GetRho` must see (cardinality > β, lower bound ≥ the
+/// last `ρ_hi`) was kept. Nothing at or below a kept state weighs less
+/// than the `ρ_hi` it was kept under, which is the next round's `ρ_lo`:
+/// `lower_bound` only rises down the tree and bounds the BCCP from below.
+/// So the lower end of the paper's `[ρ_lo, ρ_hi)` window holds without a
+/// test (the visit hook debug-asserts it), and the rounds' `ρ_hi` and edge
+/// batches, and so the MST bits and the work counters, are those of
+/// re-walking the tree from the root. The frontier and each round's edges
+/// live in [`Collector`] segments, and Kruskal merges the sorted segments
+/// in place. The component annotation is recomputed only after a batch
+/// that grew the MST.
 pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     tree: &KdTree<D>,
     policy: &P,
@@ -308,7 +311,7 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
     let mut out: Vec<Edge> = Vec::with_capacity(n - 1);
     let mut beta: usize = 2;
     let mut rho_lo: f64 = 0.0;
-    let mut frontier = vec![OpenState::node(tree.root())];
+    let mut frontier = vec![vec![OpenState::node(tree.root())]];
     let mut comp: Vec<u32> = Vec::new();
     // MST size when `comp` was computed: a Kruskal batch that accepts no
     // edge leaves every union-find root, and so `comp`, as it was.
@@ -353,16 +356,17 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
 
         // GetPairs (line 5): retrieve pairs whose BCCP lies in [ρ_lo, ρ_hi)
         // and keep what a later round may still need.
-        let edges_c: Collector<Edge> = Collector::new();
+        let edges: Collector<Edge> = Collector::new();
         frontier = {
-            let _phase = phase!(&rec.wspd, "wspd.get_pairs", frontier = frontier.len());
+            let states: usize = frontier.iter().map(Vec::len).sum();
+            let _phase = phase!(&rec.wspd, "wspd.get_pairs", frontier = states);
             wspd_resume(
                 tree,
                 policy,
                 &frontier,
                 &|a| !one_component(a),
                 &|a, b| {
-                    if same_component(&comp, a, b) || policy.upper_bound(tree, a, b) < rho_lo {
+                    if same_component(&comp, a, b) {
                         Step::Drop
                     } else if policy.lower_bound(tree, a, b) >= rho_hi {
                         Step::Keep
@@ -385,10 +389,9 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                             bccp(tree, policy, a, b)
                         }
                     };
-                    if r.w < rho_lo {
-                        None
-                    } else if r.w < rho_hi {
-                        edges_c.push(Edge::new(r.u, r.v, r.w));
+                    debug_assert!(r.w >= rho_lo, "a resumed pair weighs less than ρ_lo");
+                    if r.w < rho_hi {
+                        edges.push(Edge::new(r.u, r.v, r.w));
                         None
                     } else {
                         Some(OpenState::separated(a, b, r.u, r.v))
@@ -396,16 +399,14 @@ pub(crate) fn wspd_mst_memogfk_sched<const D: usize, P: SeparationPolicy<D>>(
                 },
             )
         };
-        frontier.shrink_to_fit();
-        rec.frontier(frontier.len());
-        let mut batch = edges_c.into_vec();
-        batch.shrink_to_fit();
-        rec.pairs(batch.len());
-        rec.live(batch.len(), size_of::<Edge>());
+        rec.frontier(frontier.iter().map(Vec::len).sum());
+        let m = edges.len();
+        rec.pairs(m);
+        rec.live(m, size_of::<Edge>());
 
         {
-            let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = batch.len());
-            kruskal_batch(&mut batch, &mut uf, &mut out);
+            let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = m);
+            kruskal_batch(edges.into_segments(), &mut uf, &mut out);
         }
 
         if rho_hi.is_infinite() {

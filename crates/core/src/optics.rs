@@ -90,13 +90,13 @@ pub fn optics_approx<const D: usize>(points: &[Point<D>], min_pts: usize, rho: f
                 }
             });
         }
-        let mut base_edges = edges_c.into_vec();
-        rec.live(base_edges.len(), std::mem::size_of::<Edge>());
+        let m = edges_c.len();
+        rec.live(m, std::mem::size_of::<Edge>());
 
         let mut uf = UnionFind::new(n);
         let mut out = Vec::with_capacity(n - 1);
-        let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = base_edges.len());
-        kruskal_batch(&mut base_edges, &mut uf, &mut out);
+        let _phase = phase!(&rec.kruskal, "mst.kruskal", edges = m);
+        kruskal_batch(edges_c.into_segments(), &mut uf, &mut out);
         debug_assert_eq!(out.len(), n - 1, "base graph must be connected");
         out
     })

@@ -146,19 +146,6 @@ impl<const D: usize> Aabb<D> {
         acc
     }
 
-    /// Squared maximum distance between any two points of the boxes.
-    #[inline]
-    pub fn max_dist_sq(&self, other: &Self) -> f64 {
-        let mut acc = 0.0;
-        for i in 0..D {
-            let d = (self.hi[i] - other.lo[i])
-                .abs()
-                .max((other.hi[i] - self.lo[i]).abs());
-            acc += d * d;
-        }
-        acc
-    }
-
     /// Minimum distance between the bounding *spheres* of the two boxes —
     /// the paper's `d(A, B)` (Table 1). Clamped at zero when the spheres
     /// intersect.
@@ -166,13 +153,6 @@ impl<const D: usize> Aabb<D> {
     pub fn sphere_min_dist(&self, other: &Self) -> f64 {
         let c = crate::dist(&self.center(), &other.center());
         (c - self.radius() - other.radius()).max(0.0)
-    }
-
-    /// Maximum distance between the bounding spheres — the `d_max(A, B)`
-    /// upper bound used by MemoGFK's pair retrieval (Figure 3).
-    #[inline]
-    pub fn sphere_max_dist(&self, other: &Self) -> f64 {
-        crate::dist(&self.center(), &other.center()) + self.radius() + other.radius()
     }
 
     /// Callahan–Kosaraju well-separation with separation constant `s`: the
@@ -243,7 +223,6 @@ mod tests {
             hi: Point([4.0, 1.0]),
         };
         assert_eq!(a.min_dist_sq(&b), 4.0);
-        assert_eq!(a.max_dist_sq(&b), 16.0 + 1.0);
         // Overlapping boxes: zero min distance.
         let c = Aabb {
             lo: Point([0.5, 0.5]),
@@ -254,7 +233,7 @@ mod tests {
 
     #[test]
     fn sphere_bounds_sandwich_point_distances() {
-        // For any points u ∈ A, v ∈ B: sphere_min ≤ d(u,v) ≤ sphere_max.
+        // For any points u ∈ A, v ∈ B: sphere_min ≤ d(u,v).
         let a = Aabb::from_points(&[Point([0.0, 0.0]), Point([1.0, 2.0])]);
         let b = Aabb::from_points(&[Point([5.0, 5.0]), Point([6.0, 4.0])]);
         let pts_a = [Point([0.0, 0.0]), Point([1.0, 2.0]), Point([0.5, 1.7])];
@@ -263,7 +242,6 @@ mod tests {
             for v in &pts_b {
                 let d = u.dist(v);
                 assert!(a.sphere_min_dist(&b) <= d + 1e-12);
-                assert!(d <= a.sphere_max_dist(&b) + 1e-12);
             }
         }
     }

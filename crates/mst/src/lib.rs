@@ -3,16 +3,23 @@
 //! The GFK/MemoGFK drivers (Algorithms 2 and 3) feed *batches* of edges to
 //! Kruskal's algorithm, with a union-find structure shared across batches
 //! and the invariant that no edge in a later batch is lighter than any edge
-//! in an earlier one. [`kruskal_batch`] implements one such round: the batch
-//! is sorted in parallel and swept into the shared union-find (the union
-//! sweep is `O(batch · α)` and sequential, as in PBBS-style parallel
-//! Kruskal implementations — the sort dominates).
+//! in an earlier one. [`kruskal_batch`] implements one such round over a
+//! batch given as segments, the form a
+//! [`Collector`](parclust_primitives::collector::Collector) hands over: the
+//! segments are sorted in place, in parallel, and a k-way merge of the
+//! sorted segments feeds the union sweep directly. The batch is never
+//! copied into one buffer and the sort takes no scratch memory. The sweep
+//! is `O(batch · (log k + α))` and sequential, as in PBBS-style parallel
+//! Kruskal implementations.
 //!
 //! [`kruskal`], [`boruvka`], and [`prim_dense`] are standalone MST
 //! algorithms used as baselines and test oracles.
 
+use parclust_primitives::collector::Collector;
 use parclust_primitives::unionfind::UnionFind;
 use rayon::prelude::*;
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// A weighted undirected edge. Ordering is by `(w, u, v)` — the strict total
 /// order that makes every MST and dendrogram in this workspace
@@ -39,21 +46,56 @@ impl Edge {
     pub fn key(&self) -> (f64, u32, u32) {
         (self.w, self.u, self.v)
     }
+
+    /// The canonical `(w, u, v)` order as one integer. For a non-negative
+    /// weight the bits of `w` order like its value; adding `0.0` maps
+    /// `-0.0` to `+0.0`, which compares equal to it.
+    #[inline]
+    fn order_key(&self) -> u128 {
+        debug_assert!(self.w >= 0.0, "edge weights must not be negative");
+        ((self.w + 0.0).to_bits() as u128) << 64 | (self.u as u128) << 32 | self.v as u128
+    }
+}
+
+fn assert_no_nan(edges: &[Edge]) {
+    assert!(edges.iter().all(|e| !e.w.is_nan()), "NaN edge weight");
 }
 
 /// Sort edges by the canonical `(w, u, v)` key, in parallel.
 pub fn sort_edges(edges: &mut [Edge]) {
-    edges.par_sort_unstable_by(|a, b| a.key().partial_cmp(&b.key()).expect("NaN edge weight"));
+    assert_no_nan(edges);
+    edges.par_sort_unstable_by(|a, b| a.order_key().cmp(&b.order_key()));
 }
 
-/// One Kruskal round over `batch`, merging into the shared `uf` and
-/// appending accepted edges to `out`. The batch is consumed (sorted
-/// in place first).
-pub fn kruskal_batch(batch: &mut Vec<Edge>, uf: &mut UnionFind, out: &mut Vec<Edge>) {
-    sort_edges(batch);
-    for e in batch.drain(..) {
+/// One Kruskal round over a batch given as `segments` (of any lengths),
+/// merging into the shared `uf` and appending accepted edges to `out` in
+/// canonical order. Each segment is sorted in place, in parallel; the
+/// sweep then takes the lightest remaining segment head each step and
+/// frees a segment as soon as it is used up. The result is that of
+/// sorting the whole batch and sweeping it.
+pub fn kruskal_batch(mut segments: Vec<Vec<Edge>>, uf: &mut UnionFind, out: &mut Vec<Edge>) {
+    // Descending, so a segment's lightest edge is its last.
+    segments.par_iter_mut().for_each(|seg| {
+        assert_no_nan(seg);
+        seg.sort_unstable_by_key(|e| Reverse(e.order_key()));
+    });
+    let mut heads: BinaryHeap<Reverse<(u128, usize)>> = segments
+        .iter()
+        .enumerate()
+        .filter_map(|(i, seg)| seg.last().map(|e| Reverse((e.order_key(), i))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let seg = &mut segments[head.0 .1];
+        let e = seg.pop().expect("a queued segment is not empty");
         if uf.union(e.u, e.v) {
             out.push(e);
+        }
+        match seg.last() {
+            Some(next) => head.0 .0 = next.order_key(),
+            None => {
+                *seg = Vec::new();
+                PeekMut::pop(head);
+            }
         }
     }
 }
@@ -61,10 +103,11 @@ pub fn kruskal_batch(batch: &mut Vec<Edge>, uf: &mut UnionFind, out: &mut Vec<Ed
 /// Kruskal's algorithm from scratch: returns the MST (or minimum spanning
 /// forest) edges of a graph on `n` vertices, sorted by the canonical key.
 pub fn kruskal(n: usize, edges: &[Edge]) -> Vec<Edge> {
+    let batch = Collector::new();
+    batch.extend(edges.iter().copied());
     let mut uf = UnionFind::new(n);
-    let mut batch = edges.to_vec();
     let mut out = Vec::with_capacity(n.saturating_sub(1));
-    kruskal_batch(&mut batch, &mut uf, &mut out);
+    kruskal_batch(batch.into_segments(), &mut uf, &mut out);
     out
 }
 
@@ -293,13 +336,120 @@ mod tests {
         let mut batch_len = 1;
         while i < sorted.len() {
             let hi = (i + batch_len).min(sorted.len());
-            let mut batch = sorted[i..hi].to_vec();
-            kruskal_batch(&mut batch, &mut uf, &mut out);
+            kruskal_batch(segmented(&sorted[i..hi], &[3, 0, 5]), &mut uf, &mut out);
             i = hi;
             batch_len *= 2;
         }
-        assert_eq!(out.len(), want.len());
-        assert!((total_weight(&out) - total_weight(&want)).abs() < 1e-9);
+        assert_eq!(bits(&out), bits(&want));
+    }
+
+    /// The reference the segment merge must reproduce: one contiguous
+    /// batch sorted by the `(w, u, v)` comparator, then swept.
+    fn contiguous_kruskal(n: usize, edges: &[Edge]) -> Vec<Edge> {
+        let mut sorted = edges.to_vec();
+        sorted.sort_by(|a, b| a.key().partial_cmp(&b.key()).unwrap());
+        let mut uf = UnionFind::new(n);
+        sorted.into_iter().filter(|e| uf.union(e.u, e.v)).collect()
+    }
+
+    fn bits(edges: &[Edge]) -> Vec<(u64, u32, u32)> {
+        edges.iter().map(|e| (e.w.to_bits(), e.u, e.v)).collect()
+    }
+
+    /// Cut `edges` into segments of the given lengths, cycled; zero-length
+    /// entries make empty segments.
+    fn segmented(edges: &[Edge], lens: &[usize]) -> Vec<Vec<Edge>> {
+        let mut segs = Vec::new();
+        let mut rest = edges;
+        for &len in lens.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (seg, tail) = rest.split_at(len.min(rest.len()));
+            segs.push(seg.to_vec());
+            rest = tail;
+        }
+        segs
+    }
+
+    /// Distinct-endpoint graph whose weights come from a handful of values,
+    /// `-0.0` and `+0.0` among them, so most edges tie on weight.
+    fn tie_heavy_graph(n: usize, m: usize, seed: u64) -> Vec<Edge> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights = [0.0, -0.0, 1.0, 1.5, 2.0];
+        let mut seen = std::collections::HashSet::new();
+        let mut edges = Vec::new();
+        while edges.len() < m {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u != v && seen.insert((u.min(v), u.max(v))) {
+                edges.push(Edge::new(u, v, weights[rng.gen_range(0..weights.len())]));
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn segment_merge_matches_contiguous_sort() {
+        let n = 400;
+        let graphs = [
+            (random_graph(n, 3000, 21), false),
+            (tie_heavy_graph(n, 3000, 22), true),
+            (tie_heavy_graph(n, 60, 23), true),
+        ];
+        let cuts: [&[usize]; 5] = [
+            &[usize::MAX],
+            &[1],
+            &[0, 7, 0, 300, 2],
+            &[1000, 0, 1],
+            &[64],
+        ];
+        for (g, (edges, tie_heavy)) in graphs.iter().enumerate() {
+            let want = bits(&contiguous_kruskal(n, edges));
+            if *tie_heavy {
+                let neg_zero = (-0.0f64).to_bits();
+                assert!(
+                    want.iter().any(|&(w, _, _)| w == neg_zero),
+                    "no -0.0 in the MST"
+                );
+            }
+            for lens in cuts {
+                let mut uf = UnionFind::new(n);
+                let mut out = Vec::new();
+                kruskal_batch(segmented(edges, lens), &mut uf, &mut out);
+                assert_eq!(bits(&out), want, "graph {g}, segment lengths {lens:?}");
+            }
+            assert_eq!(bits(&kruskal(n, edges)), want, "graph {g}, kruskal");
+        }
+    }
+
+    #[test]
+    fn empty_batch_and_empty_segments() {
+        let mut uf = UnionFind::new(3);
+        let mut out = Vec::new();
+        kruskal_batch(Vec::new(), &mut uf, &mut out);
+        kruskal_batch(vec![Vec::new(), Vec::new()], &mut uf, &mut out);
+        assert!(out.is_empty());
+        assert!(kruskal(3, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN edge weight")]
+    fn nan_weight_panics() {
+        let mut edges = random_graph(50, 200, 5);
+        edges[117] = Edge {
+            u: 1,
+            v: 2,
+            w: f64::NAN,
+        };
+        kruskal(50, &edges);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN edge weight")]
+    fn nan_weight_panics_in_sort_edges() {
+        let mut edges = vec![Edge::new(0, 1, 1.0), Edge::new(1, 2, 2.0)];
+        edges[0].w = f64::NAN;
+        sort_edges(&mut edges);
     }
 
     #[test]

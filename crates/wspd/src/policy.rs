@@ -4,7 +4,7 @@
 //! The policy abstraction is the key to sharing one GFK/MemoGFK driver
 //! between EMST and both HDBSCAN\* variants: all four differ only in
 //! (a) the predicate that terminates the WSPD recursion, and (b) the metric
-//! assigned to point pairs and its per-node-pair lower/upper bounds.
+//! assigned to point pairs and its per-node-pair lower bound.
 
 use parclust_kdtree::{KdTree, NodeId};
 
@@ -20,10 +20,6 @@ pub trait SeparationPolicy<const D: usize>: Sync {
     /// A lower bound on `point_weight(u, v)` over all `u ∈ a, v ∈ b`.
     /// Also valid for every descendant pair of `(a, b)`.
     fn lower_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64;
-
-    /// An upper bound on the *minimum* weight between `a` and `b` (i.e. on
-    /// the BCCP value); any valid upper bound over all pairs qualifies.
-    fn upper_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64;
 
     /// Weight of the concrete point pair at permuted positions `(u, v)`
     /// whose Euclidean distance is `euclid`.
@@ -59,11 +55,6 @@ impl<const D: usize> SeparationPolicy<D> for GeometricSep {
     #[inline]
     fn lower_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
         tree.bbox(a).min_dist_sq(&tree.bbox(b)).sqrt()
-    }
-
-    #[inline]
-    fn upper_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
-        tree.bbox(a).max_dist_sq(&tree.bbox(b)).sqrt()
     }
 
     #[inline]
@@ -139,12 +130,6 @@ impl<'a, const D: usize> SeparationPolicy<D> for MutualReachSep<'a> {
     }
 
     #[inline]
-    fn upper_bound(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> f64 {
-        let d = tree.bbox(a).max_dist_sq(&tree.bbox(b)).sqrt();
-        d.max(self.cd_max[a as usize]).max(self.cd_max[b as usize])
-    }
-
-    #[inline]
     fn point_weight(&self, u: u32, v: u32, euclid: f64) -> f64 {
         // Mutual reachability distance d_m(p, q) = max{cd(p), cd(q), d(p, q)}.
         euclid.max(self.cd[u as usize]).max(self.cd[v as usize])
@@ -197,17 +182,19 @@ mod tests {
     fn geometric_bounds_sandwich_bccp() {
         let tree = grid_tree();
         let policy = GeometricSep::PAPER_DEFAULT;
-        // Check lower <= actual min distance <= upper for sibling subtrees.
+        // Check lower bound <= BCCP = actual min distance for sibling
+        // subtrees.
         let (a, b) = tree.children(tree.root());
         let lo = SeparationPolicy::<2>::lower_bound(&policy, &tree, a, b);
-        let hi = SeparationPolicy::<2>::upper_bound(&policy, &tree, a, b);
         let mut min_d = f64::INFINITY;
         for p in tree.node_range(a) {
             for q in tree.node_range(b) {
                 min_d = min_d.min(tree.point(p).dist(&tree.point(q)));
             }
         }
-        assert!(lo <= min_d && min_d <= hi, "lo={lo} min={min_d} hi={hi}");
+        let r = crate::bccp(&tree, &policy, a, b);
+        assert!(lo <= r.w, "lo={lo} bccp={}", r.w);
+        assert!((r.w - min_d).abs() <= 1e-12, "bccp={} min={min_d}", r.w);
     }
 
     #[test]

@@ -117,7 +117,7 @@ where
         wspd_resume(
             tree,
             policy,
-            &[OpenState::node(tree.root())],
+            &[vec![OpenState::node(tree.root())]],
             &|_| true,
             &|a, b| {
                 if prune(a, b) {
@@ -135,7 +135,9 @@ where
     }
 }
 
-/// Resume Algorithm 1 from `frontier` and return the next frontier.
+/// Resume Algorithm 1 from `frontier` and return the next frontier. A
+/// frontier is a list of segments, as [`Collector::into_segments`] hands
+/// them over; their concatenation is the list of states.
 ///
 /// A leaf's node state is skipped; every other node state, carried or
 /// reached, is expanded only if `expand_node` returns true, and every pair
@@ -150,11 +152,11 @@ where
 pub fn wspd_resume<const D: usize, P, N, S, V>(
     tree: &KdTree<D>,
     policy: &P,
-    frontier: &[OpenState],
+    frontier: &[Vec<OpenState>],
     expand_node: &N,
     step: &S,
     visit: &V,
-) -> Vec<OpenState>
+) -> Vec<Vec<OpenState>>
 where
     P: SeparationPolicy<D>,
     N: Fn(NodeId) -> bool + Sync,
@@ -170,10 +172,12 @@ where
         visit,
         next: &next,
     };
-    frontier
-        .par_chunks(RUN_STATES)
-        .for_each(|chunk| walk.flushed(|out| chunk.iter().for_each(|&s| walk.state(s, out))));
-    next.into_vec()
+    frontier.par_iter().for_each(|segment| {
+        segment
+            .par_chunks(RUN_STATES)
+            .for_each(|run| walk.flushed(|out| run.iter().for_each(|&s| walk.state(s, out))));
+    });
+    next.into_segments()
 }
 
 /// The hooks and output of one [`wspd_resume`] call.
@@ -435,9 +439,10 @@ mod tests {
     }
 
     /// Stopping a walk part-way and resuming it from the returned frontier
-    /// of kept pair and separated states reaches exactly the pairs of the
-    /// one-shot walk, each once (the comparison is against a list with no
-    /// duplicates), and hands back carried endpoints untouched.
+    /// of kept pair and separated states, in any segmentation, reaches
+    /// exactly the pairs of the one-shot walk, each once (the comparison is
+    /// against a list with no duplicates), and hands back carried endpoints
+    /// untouched.
     #[test]
     fn resumed_walk_matches_one_shot() {
         let pts = random_points::<2>(3000, 13);
@@ -453,7 +458,7 @@ mod tests {
         let frontier = wspd_resume(
             &tree,
             &policy,
-            &[OpenState::node(tree.root())],
+            &[vec![OpenState::node(tree.root())]],
             &|_| true,
             &|a, b| {
                 if card(a, b) > 64 {
@@ -472,13 +477,17 @@ mod tests {
                 None
             },
         );
-        assert!(frontier.iter().all(|s| s.b != NONE), "only pairs are kept");
-        assert!(frontier.iter().any(|s| s.u == NONE));
-        assert!(frontier.iter().any(|s| s.endpoints().is_some()));
+        let kept = frontier.concat();
+        assert!(kept.iter().all(|s| s.b != NONE), "only pairs are kept");
+        assert!(kept.iter().any(|s| s.u == NONE));
+        assert!(kept.iter().any(|s| s.endpoints().is_some()));
+        // Resume from the kept states cut into short, uneven segments.
+        let segments: Vec<Vec<OpenState>> = kept.chunks(3).map(<[_]>::to_vec).collect();
+        assert!(segments.len() > 1);
         let rest = wspd_resume(
             &tree,
             &policy,
-            &frontier,
+            &segments,
             &|_| true,
             &|_, _| Step::Expand,
             &|s| {
