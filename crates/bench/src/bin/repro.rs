@@ -24,8 +24,8 @@ use parclust::{
 use parclust_bench::cli::Cli;
 use parclust_bench::gate::Metric;
 use parclust_bench::{
-    best_time, best_time_with_metrics, dataset, fmt_secs, thread_counts, with_points, DataSpec,
-    Report, ResultRow, DATASETS,
+    best_time, best_time_with_metrics, dataset, fmt_secs, stats_json, thread_counts, with_points,
+    DataSpec, Report, ResultRow, DATASETS,
 };
 
 const CLI: Cli = Cli("repro");
@@ -605,7 +605,7 @@ fn fig8(opts: &Opts, report: &mut Report) {
                 threads: max_t,
                 n,
                 seconds: s.total,
-                extra: Some(serde_json::to_value(&s).unwrap()),
+                extra: Some(stats_json(&s)),
             });
         }
     }

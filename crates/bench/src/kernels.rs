@@ -13,9 +13,9 @@
 //! speedup the `kernel_bench` JSON records and CI gates (both against the
 //! committed baseline and against an absolute `--require` floor).
 //!
-//! The harness is shared by three consumers: the `kernel_bench` binary
-//! (JSON for the gate), the `benches/kernels.rs` criterion bench (local
-//! profiling), and the unit tests (the two variants must agree bitwise).
+//! The harness has two consumers: the `kernel_bench` binary (JSON for the
+//! gate, and the way to time the kernels locally) and the unit tests (the
+//! two variants must agree bitwise).
 
 use crate::gate::{metrics_json, Metric};
 use parclust_data::{uniform_fill, PointBlock, BLOCK_LEN};
@@ -26,10 +26,10 @@ use std::time::Instant;
 /// Dimensionality the kernel harness runs at. 5-d sits in the middle of
 /// the paper's 2–16-d lineup: wide enough that distance math dominates,
 /// narrow enough that a lane pass still fits in cache.
-pub const KERNEL_DIMS: usize = 5;
+const KERNEL_DIMS: usize = 5;
 
 /// Points per harness block: 64 BCCP sides of `BLOCK_LEN` points.
-pub const KERNEL_POINTS: usize = 64 * BLOCK_LEN;
+const KERNEL_POINTS: usize = 64 * BLOCK_LEN;
 
 /// Queries per kNN-batch pass.
 const KNN_QUERIES: usize = 64;
@@ -60,14 +60,14 @@ impl KernelTimes {
 }
 
 /// The deterministic point block every kernel pass runs over.
-pub fn kernel_block() -> PointBlock<KERNEL_DIMS> {
+fn kernel_block() -> PointBlock<KERNEL_DIMS> {
     PointBlock::from_points(&uniform_fill::<KERNEL_DIMS>(KERNEL_POINTS, 42))
 }
 
 /// One BCCP-shaped pass: all (A, B) side pairs of consecutive 64-point
 /// ranges, min-reduced like `parclust_wspd::bccp`'s brute-force leaf case.
 /// Returns the global min (the sink that keeps the loop honest).
-pub fn bccp_pass<const D: usize>(block: &PointBlock<D>, lane: bool) -> f64 {
+fn bccp_pass<const D: usize>(block: &PointBlock<D>, lane: bool) -> f64 {
     let sides = block.len() / BLOCK_LEN;
     let mut buf = [0.0f64; BLOCK_LEN];
     let mut best = f64::INFINITY;
@@ -93,7 +93,7 @@ pub fn bccp_pass<const D: usize>(block: &PointBlock<D>, lane: bool) -> f64 {
 
 /// One kNN-batch-shaped pass: each query point swept over every 16-point
 /// segment of the block, tracking the nearest non-self candidate.
-pub fn knn_batch_pass<const D: usize>(block: &PointBlock<D>, lane: bool) -> f64 {
+fn knn_batch_pass<const D: usize>(block: &PointBlock<D>, lane: bool) -> f64 {
     let mut buf = [0.0f64; KNN_SEGMENT];
     let mut sink = 0.0;
     for qi in 0..KNN_QUERIES {

@@ -1,4 +1,4 @@
-//! Shared harness for the reproduction binaries and criterion benches.
+//! Shared harness for the reproduction and micro-bench binaries.
 //!
 //! The paper's evaluation (§5) runs 12 data sets (4 synthetic × sizes, 4
 //! real) on a 48-core machine at n up to 24.9M. This harness reproduces the
@@ -12,7 +12,7 @@ pub mod gate;
 pub mod kernels;
 pub mod memory;
 
-use serde::Serialize;
+use serde_json::{json, ToJson, Value};
 use std::time::Instant;
 
 /// One benchmark data set: a name mirroring the paper's, a dimension, and
@@ -194,7 +194,7 @@ pub fn best_time_with_metrics<T: Send>(
     threads: usize,
     reps: usize,
     mut f: impl FnMut() -> T + Send,
-) -> (T, f64, serde_json::Value) {
+) -> (T, f64, Value) {
     assert!(reps >= 1);
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -215,9 +215,9 @@ pub fn best_time_with_metrics<T: Send>(
 
 /// Serialize a pool's counters for bench JSON: totals plus the per-worker
 /// job split (the work-imbalance signal).
-pub fn pool_metrics_json(m: &rayon::PoolMetrics) -> serde_json::Value {
+pub fn pool_metrics_json(m: &rayon::PoolMetrics) -> Value {
     let jobs_per_worker: Vec<u64> = m.workers.iter().map(|w| w.jobs).collect();
-    serde_json::json!({
+    json!({
         "workers": m.workers.len() as u64,
         "jobs": m.total_jobs(),
         "steal_attempts": m.total_steal_attempts(),
@@ -265,7 +265,7 @@ pub fn thread_counts() -> Vec<usize> {
 
 /// A generic result row serialized into the JSON report next to the text
 /// tables.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResultRow {
     pub experiment: String,
     pub dataset: String,
@@ -273,8 +273,44 @@ pub struct ResultRow {
     pub threads: usize,
     pub n: usize,
     pub seconds: f64,
-    #[serde(skip_serializing_if = "Option::is_none")]
-    pub extra: Option<serde_json::Value>,
+    /// Rendered last, and only when present.
+    pub extra: Option<Value>,
+}
+
+impl ToJson for ResultRow {
+    fn to_json(&self) -> Value {
+        let Value::Object(mut fields) = json!({
+            "experiment": self.experiment,
+            "dataset": self.dataset,
+            "method": self.method,
+            "threads": self.threads,
+            "n": self.n,
+            "seconds": self.seconds,
+        }) else {
+            unreachable!("json! object literal")
+        };
+        fields.extend(self.extra.clone().map(|extra| ("extra".to_string(), extra)));
+        Value::Object(fields)
+    }
+}
+
+/// A `Stats` as JSON, every field in declaration order: the `extra` of a
+/// `repro fig8` row.
+pub fn stats_json(s: &parclust::Stats) -> Value {
+    json!({
+        "build_tree": s.build_tree,
+        "core_dist": s.core_dist,
+        "wspd": s.wspd,
+        "kruskal": s.kruskal,
+        "dendrogram": s.dendrogram,
+        "total": s.total,
+        "rounds": s.rounds,
+        "bccp_calls": s.bccp_calls,
+        "pairs_materialized": s.pairs_materialized,
+        "peak_live_pairs": s.peak_live_pairs,
+        "peak_pair_bytes": s.peak_pair_bytes,
+        "peak_frontier": s.peak_frontier,
+    })
 }
 
 /// Collects rows, plus the metrics the bench gate compares, and writes
@@ -295,7 +331,7 @@ impl Report {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let doc = serde_json::json!({
+        let doc = json!({
             "rows": self.rows,
             "metrics": gate::metrics_json(&self.metrics),
         });
@@ -317,7 +353,6 @@ pub fn fmt_secs(s: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::Value;
 
     #[test]
     fn dataset_lookup() {

@@ -11,8 +11,8 @@
 //! * [`dendrogram_seq`] — the classic bottom-up union-find sweep over
 //!   edges in increasing weight order;
 //! * [`dendrogram_par`] — the paper's novel top-down divide-and-conquer
-//!   (§4.2): split off the heaviest `heavy_fraction · m` edges (the top of
-//!   the dendrogram), solve the heavy subproblem and every light-edge
+//!   (§4.2): split off the heaviest tenth of the edges (the top of the
+//!   dendrogram), solve the heavy subproblem and every light-edge
 //!   component *in parallel*, and attach the light dendrograms at the
 //!   contracted leaves of the heavy dendrogram.
 //!
@@ -86,27 +86,18 @@ impl Dendrogram {
     }
 }
 
-/// Tuning for [`dendrogram_par`].
-#[derive(Debug, Clone, Copy)]
-pub struct DendrogramParams {
-    /// Fraction of edges treated as heavy per level. The paper's theory
-    /// permits any constant fraction; its implementation (and our default)
-    /// uses 1/10 (§4.2 "Implementation").
-    pub heavy_fraction: f64,
-    /// Subproblems at or below this edge count run the sequential
-    /// construction. The paper switches below `n/2`; we additionally floor
-    /// it so tiny inputs skip the machinery entirely.
-    pub seq_threshold_fraction: f64,
-}
+/// Fraction of a subproblem's edges split off as heavy per level. The
+/// paper's theory permits any constant fraction; its implementation uses
+/// 1/10 (§4.2 "Implementation": "we found that using n/10 heavy edges works
+/// reasonably well in all cases").
+const HEAVY_FRACTION: f64 = 0.1;
 
-impl Default for DendrogramParams {
-    fn default() -> Self {
-        DendrogramParams {
-            heavy_fraction: 0.1,
-            seq_threshold_fraction: 0.5,
-        }
-    }
-}
+/// Subproblems at or below this fraction of the input's edges run the
+/// sequential construction: the paper switches below `n/2`.
+const SEQ_THRESHOLD_FRACTION: f64 = 0.5;
+
+/// Floor on the sequential threshold, so tiny inputs skip the machinery.
+const SEQ_THRESHOLD_MIN: usize = 512;
 
 /// An edge within a subproblem: the global edge id plus its *contracted*
 /// endpoints (light components collapse to their representative vertex).
@@ -137,26 +128,19 @@ pub fn dendrogram_seq(n: usize, edges: &[Edge], start: u32) -> Dendrogram {
     build_dendrogram(n, edges, start, None)
 }
 
-/// Parallel ordered dendrogram (§4.2) with default parameters.
+/// Parallel ordered dendrogram (§4.2).
 pub fn dendrogram_par(n: usize, edges: &[Edge], start: u32) -> Dendrogram {
-    dendrogram_par_with(n, edges, start, DendrogramParams::default())
+    build_dendrogram(n, edges, start, Some(SEQ_THRESHOLD_FRACTION))
 }
 
-/// Parallel ordered dendrogram with explicit [`DendrogramParams`].
-pub fn dendrogram_par_with(
-    n: usize,
-    edges: &[Edge],
-    start: u32,
-    params: DendrogramParams,
-) -> Dendrogram {
-    build_dendrogram(n, edges, start, Some(params))
-}
-
+/// The ordered dendrogram: sequential when `seq_threshold_fraction` is
+/// `None`, otherwise parallel down to subproblems of that fraction of the
+/// edges (floored at [`SEQ_THRESHOLD_MIN`]).
 fn build_dendrogram(
     n: usize,
     edges: &[Edge],
     start: u32,
-    params: Option<DendrogramParams>,
+    seq_threshold_fraction: Option<f64>,
 ) -> Dendrogram {
     let _span = parclust_obs::span!("dendrogram.build", n = n);
     if n == 0 {
@@ -224,10 +208,9 @@ fn build_dendrogram(
         edge_u: &d.edge_u,
         edge_v: &d.edge_v,
         out: &out,
-        seq_threshold: params
-            .map(|p| ((m as f64 * p.seq_threshold_fraction) as usize).max(512))
+        seq_threshold: seq_threshold_fraction
+            .map(|f| ((m as f64 * f) as usize).max(SEQ_THRESHOLD_MIN))
             .unwrap_or(usize::MAX),
-        heavy_fraction: params.map(|p| p.heavy_fraction).unwrap_or(0.1),
     };
     let root = solve(&ctx, sub, &FastMap::default());
     d.root = root;
@@ -242,7 +225,6 @@ struct Ctx<'a> {
     edge_v: &'a [u32],
     out: &'a Out,
     seq_threshold: usize,
-    heavy_fraction: f64,
 }
 
 impl<'a> Ctx<'a> {
@@ -278,7 +260,7 @@ fn solve(ctx: &Ctx, edges: Vec<SubEdge>, payload: &FastMap<u32, u32>) -> u32 {
         return solve_seq(ctx, edges, payload);
     }
     let m = edges.len();
-    let n_heavy = ((m as f64 * ctx.heavy_fraction) as usize).clamp(1, m - 1);
+    let n_heavy = ((m as f64 * HEAVY_FRACTION) as usize).clamp(1, m - 1);
 
     // Partition into the n_heavy heaviest edges and the rest, by the strict
     // (w, id) key: selection on weights plus an id cutoff inside the tie
@@ -654,15 +636,7 @@ mod tests {
             let edges = random_spanning_tree(n, seed);
             let s = dendrogram_seq(n, &edges, 0);
             // Force the parallel path with a tiny threshold.
-            let p = dendrogram_par_with(
-                n,
-                &edges,
-                0,
-                DendrogramParams {
-                    heavy_fraction: 0.1,
-                    seq_threshold_fraction: 0.01,
-                },
-            );
+            let p = build_dendrogram(n, &edges, 0, Some(0.01));
             assert_eq!(s.root, p.root, "seed {seed}");
             assert_eq!(s.left, p.left, "seed {seed}");
             assert_eq!(s.right, p.right, "seed {seed}");
@@ -679,15 +653,7 @@ mod tests {
             .map(|i| Edge::new(i, i + 1, i as f64 + 1.0))
             .collect();
         let s = dendrogram_seq(n, &edges, 0);
-        let p = dendrogram_par_with(
-            n,
-            &edges,
-            0,
-            DendrogramParams {
-                heavy_fraction: 0.1,
-                seq_threshold_fraction: 0.02,
-            },
-        );
+        let p = build_dendrogram(n, &edges, 0, Some(0.02));
         assert_eq!(s.left, p.left);
         assert_eq!(s.right, p.right);
         check_dendrogram_shape(&p);
@@ -703,15 +669,7 @@ mod tests {
             .map(|v| Edge::new(rng.gen_range(0..v), v, (rng.gen_range(0..5) as f64) + 1.0))
             .collect();
         let s = dendrogram_seq(n, &edges, 42);
-        let p = dendrogram_par_with(
-            n,
-            &edges,
-            42,
-            DendrogramParams {
-                heavy_fraction: 0.1,
-                seq_threshold_fraction: 0.01,
-            },
-        );
+        let p = build_dendrogram(n, &edges, 42, Some(0.01));
         assert_eq!(s.left, p.left);
         assert_eq!(s.right, p.right);
         assert_eq!(s.parent, p.parent);

@@ -47,8 +47,8 @@ pub use drivers::BetaSchedule;
 pub use emst::emst_memogfk_with_schedule;
 
 pub use dendrogram::{
-    count_clusters, dbscan_star_labels, dendrogram_par, dendrogram_par_with, dendrogram_seq,
-    reachability_plot, single_linkage_cut, single_linkage_k, Dendrogram, DendrogramParams, NOISE,
+    count_clusters, dbscan_star_labels, dendrogram_par, dendrogram_seq, reachability_plot,
+    single_linkage_cut, single_linkage_k, Dendrogram, NOISE,
 };
 pub use emst::{emst, emst_boruvka, emst_delaunay, emst_gfk, emst_memogfk, emst_naive, Emst};
 pub use extract::{

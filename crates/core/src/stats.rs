@@ -6,12 +6,11 @@
 //! [`Stats`]: the per-run snapshot of its phase guards
 //! ([`parclust_obs::phase!`]), so each time is the sum of its spans.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Wall-clock seconds per phase plus work/memory counters.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Stats {
     /// kd-tree construction time (s).
     pub build_tree: f64,

@@ -6,7 +6,9 @@
 //! pattern; comparisons are performed on the `f64` values so the primitive
 //! is correct for negative inputs as well.
 
+use crate::unpoisoned;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// An `f64` cell supporting `write_min`: concurrent writers race and the
 /// minimum value wins. Initialized to `+inf`.
@@ -59,19 +61,19 @@ impl AtomicF64Min {
 
 /// `WRITE_MIN` with an attached payload: keeps the payload of the smallest
 /// key seen. A lock-free fast path rejects keys that cannot win before
-/// falling back to a short spin lock for the update, so the common
-/// (losing) writer never contends.
+/// falling back to a mutex for the update, so the common (losing) writer
+/// never contends.
 #[derive(Debug)]
 pub struct AtomicMinPair<T> {
     key: AtomicF64Min,
-    slot: parking_lot::Mutex<(f64, Option<T>)>,
+    slot: Mutex<(f64, Option<T>)>,
 }
 
 impl<T> Default for AtomicMinPair<T> {
     fn default() -> Self {
         Self {
             key: AtomicF64Min::default(),
-            slot: parking_lot::Mutex::new((f64::INFINITY, None)),
+            slot: Mutex::new((f64::INFINITY, None)),
         }
     }
 }
@@ -86,7 +88,7 @@ impl<T: Clone> AtomicMinPair<T> {
         if key > self.key.load() {
             return;
         }
-        let mut slot = self.slot.lock();
+        let mut slot = unpoisoned(self.slot.lock());
         if key < slot.0 {
             *slot = (key, Some(payload));
             self.key.write_min(key);
@@ -95,7 +97,7 @@ impl<T: Clone> AtomicMinPair<T> {
 
     /// Returns the smallest `(key, payload)` recorded, if any.
     pub fn get(&self) -> Option<(f64, T)> {
-        let slot = self.slot.lock();
+        let slot = unpoisoned(self.slot.lock());
         slot.1.clone().map(|p| (slot.0, p))
     }
 

@@ -12,7 +12,8 @@
 //! across threads; consumers that need determinism sort by a canonical key
 //! afterwards (all of ours do).
 
-use parking_lot::Mutex;
+use crate::unpoisoned;
+use std::sync::Mutex;
 
 /// Items per segment: 128 KiB of 16-byte frontier states or edges. Large
 /// enough that a segment list stays short and a segment is a worthwhile
@@ -80,12 +81,12 @@ impl<T> Collector<T> {
     /// Append `value` to the current worker's shard.
     #[inline]
     pub fn push(&self, value: T) {
-        self.shard().lock().push(value);
+        unpoisoned(self.shard().lock()).push(value);
     }
 
     /// Append many values at once, taking the shard's lock once.
     pub fn extend<I: IntoIterator<Item = T>>(&self, values: I) {
-        let mut shard = self.shard().lock();
+        let mut shard = unpoisoned(self.shard().lock());
         for value in values {
             shard.push(value);
         }
@@ -93,7 +94,7 @@ impl<T> Collector<T> {
 
     /// Total number of collected items.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| unpoisoned(s.lock()).len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -107,7 +108,7 @@ impl<T> Collector<T> {
     pub fn into_segments(self) -> Vec<Vec<T>> {
         let mut out = Vec::new();
         for shard in self.shards {
-            let Shard { full, open } = shard.into_inner();
+            let Shard { full, open } = unpoisoned(shard.into_inner());
             out.extend(full);
             if !open.is_empty() {
                 out.push(open);

@@ -34,6 +34,14 @@ pub(crate) fn block_size(n: usize) -> usize {
     (n / 256).max(2048)
 }
 
+/// The value of a lock result, poisoned or not. A panic inside one of this
+/// crate's critical sections has already reached its caller, and every
+/// critical section leaves its data whole, so a later lock or `into_inner`
+/// takes the data as it is instead of wedging.
+pub(crate) fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// A raw pointer wrapper that lets disjoint-index writes cross rayon task
 /// boundaries. Callers must guarantee that concurrent tasks write disjoint
 /// indices.
@@ -53,5 +61,34 @@ impl<T> SendPtr<T> {
     pub unsafe fn write(self, idx: usize, value: T) {
         // SAFETY: bounds and disjointness guaranteed by the caller.
         unsafe { self.0.add(idx).write(value) };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::unpoisoned;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn lock_and_into_inner() {
+        let m = Mutex::new(vec![1, 2]);
+        unpoisoned(m.lock()).push(3);
+        assert_eq!(unpoisoned(m.into_inner()), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn survives_poison() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = m.clone();
+        let _ = std::thread::spawn(move || {
+            let _g = m2.lock();
+            panic!("poison it");
+        })
+        .join();
+        assert!(m.is_poisoned());
+        *unpoisoned(m.lock()) += 1;
+        assert_eq!(*unpoisoned(m.lock()), 1);
+        let m = Arc::into_inner(m).unwrap();
+        assert_eq!(unpoisoned(m.into_inner()), 1);
     }
 }

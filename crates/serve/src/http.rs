@@ -1,8 +1,8 @@
 //! A std-only threaded HTTP/1.1 front end for the model registry, and the
 //! minimal client the load generator and tests drive it with.
 //!
-//! No network dependencies: `std::net` sockets, the workspace serde shim
-//! for JSON. The server runs `workers` connection threads (shared
+//! No network dependencies: `std::net` sockets, the workspace `serde_json`
+//! shim for JSON. The server runs `workers` connection threads (shared
 //! non-blocking listener, keep-alive connections) and fans batched queries
 //! out over a dedicated rayon pool of `pool_threads` workers — so request
 //! concurrency and data parallelism are tuned independently.

@@ -1,14 +1,304 @@
 //! Offline stand-in for the subset of
 //! [serde_json](https://docs.rs/serde_json) used by this workspace:
-//! [`Value`], [`to_value`], [`to_string`], [`to_string_pretty`], a
-//! [`from_str`] parser into [`Value`], and a [`json!`] macro for flat
-//! object literals.
+//! [`Value`], the [`ToJson`] conversion behind [`to_value`], [`to_string`],
+//! [`to_string_pretty`] and the [`json!`] macro for flat object literals,
+//! and a [`from_str`] parser into [`Value`].
 //!
-//! Simplification vs. the real crate: [`from_str`] is not generic over
-//! `Deserialize` — it always produces a [`Value`] tree, which callers walk
-//! with the accessor methods (`get`, `as_f64`, `as_array`, ...).
+//! Simplifications vs. the real crate: there is no serde underneath, so
+//! types convert through [`ToJson`] (implemented by hand) instead of a
+//! derived `Serialize`; and [`from_str`] is not generic over `Deserialize`
+//! — it always produces a [`Value`] tree, which callers walk with the
+//! accessor methods (`get`, `as_f64`, `as_array`, ...).
 
-pub use serde::Value;
+/// A JSON document.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    Null,
+    Bool(bool),
+    /// Finite floating-point number. Non-finite values render as `null`,
+    /// matching serde_json's behavior.
+    Float(f64),
+    Int(i64),
+    UInt(u64),
+    String(String),
+    Array(Vec<Value>),
+    /// Insertion-ordered object, mirroring serde_json's `preserve_order`.
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    fn write_escaped(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    fn write_float(x: f64, out: &mut String) {
+        if !x.is_finite() {
+            out.push_str("null");
+        } else if x == x.trunc() && x.abs() < 1e15 {
+            // Render integral floats with a trailing ".0" like serde_json.
+            out.push_str(&format!("{x:.1}"));
+        } else {
+            out.push_str(&format!("{x}"));
+        }
+    }
+
+    fn render(&self, out: &mut String, indent: Option<usize>, level: usize) {
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::Float(x) => Self::write_float(*x, out),
+            Value::Int(i) => out.push_str(&i.to_string()),
+            Value::UInt(u) => out.push_str(&u.to_string()),
+            Value::String(s) => Self::write_escaped(s, out),
+            Value::Array(items) => {
+                if items.is_empty() {
+                    out.push_str("[]");
+                    return;
+                }
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    Self::newline_indent(out, indent, level + 1);
+                    item.render(out, indent, level + 1);
+                }
+                Self::newline_indent(out, indent, level);
+                out.push(']');
+            }
+            Value::Object(fields) => {
+                if fields.is_empty() {
+                    out.push_str("{}");
+                    return;
+                }
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    Self::newline_indent(out, indent, level + 1);
+                    Self::write_escaped(key, out);
+                    out.push(':');
+                    if indent.is_some() {
+                        out.push(' ');
+                    }
+                    value.render(out, indent, level + 1);
+                }
+                Self::newline_indent(out, indent, level);
+                out.push('}');
+            }
+        }
+    }
+
+    fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
+        if let Some(width) = indent {
+            out.push('\n');
+            for _ in 0..width * level {
+                out.push(' ');
+            }
+        }
+    }
+
+    /// Compact rendering.
+    pub fn to_json_string(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, None, 0);
+        out
+    }
+
+    /// Pretty rendering with 2-space indentation, like
+    /// `serde_json::to_string_pretty`.
+    pub fn to_json_string_pretty(&self) -> String {
+        let mut out = String::new();
+        self.render(&mut out, Some(2), 0);
+        out
+    }
+
+    // ---- Accessors mirroring serde_json::Value's read API ----
+
+    /// Field of an object by key (`None` for missing keys or non-objects).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    pub fn is_null(&self) -> bool {
+        matches!(self, Value::Null)
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// Numeric view as `f64` (integers widen losslessly up to 2^53).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Float(x) => Some(*x),
+            Value::Int(i) => Some(*i as f64),
+            Value::UInt(u) => Some(*u as f64),
+            _ => None,
+        }
+    }
+
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::UInt(u) => Some(*u),
+            Value::Int(i) if *i >= 0 => Some(*i as u64),
+            _ => None,
+        }
+    }
+
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            Value::Int(i) => Some(*i),
+            Value::UInt(u) if *u <= i64::MAX as u64 => Some(*u as i64),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Object(fields) => Some(fields),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.to_json_string())
+    }
+}
+
+/// Conversion into a JSON [`Value`]: what [`json!`], [`to_value`] and
+/// [`to_string`] accept. Structs that go into JSON implement it by hand,
+/// listing their keys in the order they should render.
+pub trait ToJson {
+    fn to_json(&self) -> Value;
+}
+
+impl ToJson for Value {
+    fn to_json(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn to_json(&self) -> Value {
+        (**self).to_json()
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> Value {
+        Value::Bool(*self)
+    }
+}
+
+macro_rules! impl_to_json_uint {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::UInt(*self as u64)
+            }
+        }
+    )*};
+}
+
+macro_rules! impl_to_json_int {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn to_json(&self) -> Value {
+                Value::Int(*self as i64)
+            }
+        }
+    )*};
+}
+
+impl_to_json_uint!(u8, u16, u32, u64, usize);
+impl_to_json_int!(i8, i16, i32, i64, isize);
+
+impl ToJson for f64 {
+    fn to_json(&self) -> Value {
+        Value::Float(*self)
+    }
+}
+
+impl ToJson for f32 {
+    fn to_json(&self) -> Value {
+        Value::Float(*self as f64)
+    }
+}
+
+impl ToJson for str {
+    fn to_json(&self) -> Value {
+        Value::String(self.to_string())
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> Value {
+        Value::String(self.clone())
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> Value {
+        match self {
+            Some(v) => v.to_json(),
+            None => Value::Null,
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn to_json(&self) -> Value {
+        Value::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
 
 /// Serialization/parse error carrying a human-readable message.
 #[derive(Debug)]
@@ -317,16 +607,16 @@ impl<'a> Parser<'a> {
     }
 }
 
-pub fn to_value<T: serde::Serialize>(value: T) -> Result<Value, Error> {
-    Ok(value.serialize_json())
+pub fn to_value<T: ToJson>(value: T) -> Result<Value, Error> {
+    Ok(value.to_json())
 }
 
-pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize_json().to_json_string())
+pub fn to_string<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(value.to_json().to_json_string())
 }
 
-pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    Ok(value.serialize_json().to_json_string_pretty())
+pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> Result<String, Error> {
+    Ok(value.to_json().to_json_string_pretty())
 }
 
 /// Build a [`Value`] from a JSON-shaped literal. Supports `null`, arrays of
@@ -348,11 +638,52 @@ macro_rules! json {
 
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    #[test]
+    fn renders_compact_and_pretty() {
+        let v = Value::Object(vec![
+            ("a".into(), Value::UInt(1)),
+            (
+                "b".into(),
+                Value::Array(vec![Value::Bool(true), Value::Null]),
+            ),
+        ]);
+        assert_eq!(v.to_json_string(), r#"{"a":1,"b":[true,null]}"#);
+        let pretty = v.to_json_string_pretty();
+        assert!(pretty.contains("\n  \"a\": 1"), "{pretty}");
+    }
+
+    #[test]
+    fn floats_render_like_serde_json() {
+        assert_eq!(Value::Float(2.0).to_json_string(), "2.0");
+        assert_eq!(Value::Float(0.25).to_json_string(), "0.25");
+        assert_eq!(Value::Float(f64::NAN).to_json_string(), "null");
+    }
+
+    #[test]
+    fn escapes_strings() {
+        assert_eq!(
+            Value::String("a\"b\\c\n".into()).to_json_string(),
+            r#""a\"b\\c\n""#
+        );
+    }
+
+    #[test]
+    fn option_and_collections() {
+        assert_eq!(None::<u32>.to_json(), Value::Null);
+        assert_eq!(Some(3u32).to_json(), Value::UInt(3));
+        assert_eq!(
+            vec![1i64, -2].to_json(),
+            Value::Array(vec![Value::Int(1), Value::Int(-2)])
+        );
+    }
+
     #[test]
     fn json_macro_shapes() {
         let v = json!({"a": 1u32, "b": 2.5f64, "c": "x"});
         assert_eq!(v.to_json_string(), r#"{"a":1,"b":2.5,"c":"x"}"#);
-        assert_eq!(json!(null), crate::Value::Null);
+        assert_eq!(json!(null), Value::Null);
         assert_eq!(json!([1u32, 2u32]).to_json_string(), "[1,2]");
         assert_eq!(json!(7u64).to_json_string(), "7");
     }
@@ -360,11 +691,9 @@ mod tests {
     #[test]
     fn to_string_roundtrips_shapes() {
         let rows = vec![1u32, 2, 3];
-        assert_eq!(crate::to_string(&rows).unwrap(), "[1,2,3]");
-        assert!(crate::to_string_pretty(&rows).unwrap().contains('\n'));
+        assert_eq!(to_string(&rows).unwrap(), "[1,2,3]");
+        assert!(to_string_pretty(&rows).unwrap().contains('\n'));
     }
-
-    use crate::{from_str, Value};
 
     #[test]
     fn parses_scalars() {
